@@ -73,12 +73,6 @@ bool Parse(int argc, char** argv, Args* args) {
          (args->self_test || (!args->workload.empty() && args->seconds > 0));
 }
 
-// The tail quantile reported as p99: 0.99, or lower when fewer than 1000
-// samples would leave under 10 beyond it.
-double TailQuantile(size_t samples) {
-  return samples == 0 ? 0.99 : std::min(0.99, 1.0 - 10.0 / samples);
-}
-
 // Nearest-rank percentile.
 double Percentile(std::vector<double> values, double q) {
   if (values.empty()) return 0;
@@ -165,10 +159,12 @@ int RunEndToEnd(const Args& args, const Workload& w) {
     last_trial_s = NowS() - start;
   }
 
-  // Throughput over the whole run: items over the summed ingest time of
-  // every trial (the bursts' time when there is no ingest phase).
-  double ingest_items = 0, ingest_s = 0;
-  std::vector<double> rss, heavy, estimate, sync;
+  // Rates and tails are per trial, median over the trials.  Noise on a
+  // shared host comes in stretches that hit some trials and spare the
+  // rest; pooled, a few noisy trials would set the whole run's tail.
+  // Throughput is the ingest phase's rate, or the bursts' rate when there
+  // is no ingest phase.
+  std::vector<double> rates, rss, heavy, heavy_tails, estimate, sync;
   uint64_t sync_bytes = 0, violations = 0, missed = 0, true_heavy = 0;
   double recall = 1;
   int completed = 0;
@@ -176,10 +172,12 @@ int RunEndToEnd(const Args& args, const Workload& w) {
     setups.push_back(trial.setup_s);
     if (!trial.completed) continue;
     ++completed;
-    ingest_items += w.ingest_items != 0 ? w.ingest_items : w.rounds * w.burst;
-    ingest_s += w.ingest_items != 0 ? trial.ingest_s : trial.burst_s;
+    rates.push_back(w.ingest_items != 0
+                        ? w.ingest_items / trial.ingest_s
+                        : static_cast<double>(w.rounds * w.burst) / trial.burst_s);
     rss.push_back(trial.exit.peak_rss_mb);
     heavy.insert(heavy.end(), trial.heavy_ms.begin(), trial.heavy_ms.end());
+    heavy_tails.push_back(Percentile(trial.heavy_ms, 0.99));
     estimate.insert(estimate.end(), trial.estimate_ms.begin(),
                     trial.estimate_ms.end());
     sync.insert(sync.end(), trial.sync_ms.begin(), trial.sync_ms.end());
@@ -193,9 +191,9 @@ int RunEndToEnd(const Args& args, const Workload& w) {
       sync.empty() ? 0 : static_cast<double>(sync_bytes) / sync.size();
   const std::map<std::string, Metric> metrics = {
       {"setup_s", {"s", Median(setups)}},
-      {"ingest_items_per_s", {"items/s", ingest_s == 0 ? 0 : ingest_items / ingest_s}},
+      {"ingest_items_per_s", {"items/s", Median(rates)}},
       {"heavy_p50_ms", {"ms", Median(heavy)}},
-      {"heavy_p99_ms", {"ms", Percentile(heavy, TailQuantile(heavy.size()))}},
+      {"heavy_p99_ms", {"ms", Median(heavy_tails)}},
       {"estimate_p50_ms", {"ms", Median(estimate)}},
       {"sync_p50_ms", {"ms", Median(sync)}},
       {"sync_bytes", {"bytes", mean_sync_bytes}},
@@ -208,7 +206,6 @@ int RunEndToEnd(const Args& args, const Workload& w) {
       ", \"trials_completed\": " + std::to_string(completed) +
       ", \"setup\": " + std::to_string(setups.size()) +
       ", \"heavy\": " + std::to_string(heavy.size()) +
-      ", \"heavy_p99_quantile\": " + Number(TailQuantile(heavy.size())) +
       ", \"estimate\": " + std::to_string(estimate.size()) +
       ", \"sync\": " + std::to_string(sync.size()) + "}" +
       ", \"shape\": {\"algorithm\": " + Quote(w.algorithm) +
@@ -228,6 +225,8 @@ int RunEndToEnd(const Args& args, const Workload& w) {
              ", \"ingest_s\": " + Number(trial.ingest_s) +
              ", \"burst_s\": " + Number(trial.burst_s) +
              ", \"heavy_p50_ms\": " + Number(Median(trial.heavy_ms)) +
+             ", \"heavy_p99_ms\": " +
+             Number(Percentile(trial.heavy_ms, 0.99)) +
              ", \"sync_p50_ms\": " + Number(Median(trial.sync_ms)) +
              ", \"estimate_p50_ms\": " + Number(Median(trial.estimate_ms)) +
              ", \"peak_rss_mb\": " + Number(trial.exit.peak_rss_mb) +
