@@ -12,8 +12,8 @@
 //     it, the loop-forwarding overrides should tie it.
 //   * routing kernels — the two producer-side dispatch strategies in
 //     isolation (no worker threads, hand-off to a sink buffer): per-item
-//     staged scatter exactly as ScatterPush does it (Mix64 then a
-//     modulo by the RUNTIME shard count, staging push_back, bulk
+//     staged scatter as the engine's retired per-item route did it (Mix64
+//     then a modulo by the RUNTIME shard count, staging push_back, bulk
 //     hand-off at drain_batch) vs the partition pass exactly as
 //     PartitionPush does it (Mix64 sweep with the hoisted power-of-two
 //     mask, histogram -> prefix-sum -> scatter per 8K tile, one
@@ -115,13 +115,13 @@ int main(int argc, char** argv) {
   }
 
   // ---- Routing kernels: producer-side dispatch in isolation ------------
-  // Mirrors of ShardedEngine::ScatterPush and Producer::PartitionPush
+  // Mirrors of the retired per-item scatter route and PartitionPush
   // with the ring hand-off replaced by a sink memcpy, so the comparison
   // measures the routing work itself free of worker-thread contention.
   {
     const size_t num_shards = 4;
-    // Defeat constant folding: ScatterPush's modulo divides by the
-    // runtime shard count, and so must the mirrored baseline.
+    // Defeat constant folding: the per-item route's modulo divided by
+    // the runtime shard count, and so must the mirrored baseline.
     volatile size_t runtime_shards = num_shards;
     const size_t k = runtime_shards;
     std::vector<uint64_t> sink(stream.size());

@@ -46,10 +46,6 @@ class BdwSimpleSummary : public Summary {
     for (uint64_t i = 0; i < weight; ++i) impl_.Insert(item);
   }
 
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) impl_.Insert(x);
-  }
-
   // Sequential by necessity: Insert draws from the sampling PRNG, so the
   // column loop must consume randomness in exactly the scalar order.  The
   // win over the default is amortized virtual dispatch only.
@@ -138,10 +134,6 @@ class BdwOptimalSummary : public Summary {
 
   void Update(uint64_t item, uint64_t weight) override {
     for (uint64_t i = 0; i < weight; ++i) impl_.Insert(item);
-  }
-
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) impl_.Insert(x);
   }
 
   // Algorithm 2's Insert consumes PRNG draws (sampling + accelerated-

@@ -250,16 +250,89 @@ void PruneCheckpoints(const std::string& dir) {
 // the slot count so a typo cannot request terabytes of rings.
 constexpr size_t kMaxProducerSlots = 4096;
 
+// What every shard set entering an engine from outside must satisfy — a
+// checkpoint generation (Restore), a replica's first round (FromFrames),
+// or a round committed over live shards (ApplyFrames).  `*rotations` gets
+// the common window rotation count (0 when not windowed).
+Status ValidateShardSet(const std::vector<const Summary*>& shards,
+                        uint64_t* rotations) {
+  *rotations = 0;
+  if (shards.size() > 1 && !shards[0]->SupportsMerge()) {
+    return Status::FailedPrecondition(
+        "'" + std::string(shards[0]->Name()) +
+        "' does not support Merge; a multi-shard state of it cannot be "
+        "valid");
+  }
+  // All shards must come from ONE engine: same structure, options and
+  // seed, or the first merged query would fail on Merge compatibility
+  // (and abort).  Catch a spliced-in foreign shard here, as a Status.
+  const SummaryOptions base = shards[0]->Options();
+  for (size_t s = 1; s < shards.size(); ++s) {
+    if (shards[s]->Name() != shards[0]->Name() ||
+        !(shards[s]->Options() == base)) {
+      return Status::Corruption(
+          "shard " + std::to_string(s) + " was built as a different "
+          "structure or with different options or seed than shard 0; not "
+          "shards of one engine");
+    }
+  }
+
+  // Windowed shards additionally require rotation-aligned rings: every
+  // shard window must have crossed the same number of global bucket
+  // boundaries, or the rings would not be bucket-wise mergeable.
+  const auto* window0 = dynamic_cast<const SlidingWindowSummary*>(shards[0]);
+  if (window0 == nullptr) return Status::Ok();
+  const uint64_t restored_rotations = window0->rotations();
+  for (size_t s = 1; s < shards.size(); ++s) {
+    const auto* window = static_cast<const SlidingWindowSummary*>(shards[s]);
+    if (window->rotations() != restored_rotations) {
+      return Status::Corruption(
+          "shard " + std::to_string(s) + " rotated " +
+          std::to_string(window->rotations()) + " times, shard 0 " +
+          std::to_string(restored_rotations) +
+          "; not windows of one lockstep engine");
+    }
+  }
+  uint64_t total = 0;
+  for (const Summary* summary : shards) total += summary->ItemsProcessed();
+  const uint64_t stride = window0->bucket_width();
+  // The rotation protocol admits floor((total-1)/stride) rotations for
+  // any item total — and, exactly AT a boundary, one more: a
+  // multi-producer capture can catch the state where the boundary
+  // claimant has rotated but its boundary item is not yet applied
+  // (single-producer lazy rotation only ever captures the former).
+  // Derive by DIVISION: the rotation count comes off the wire, and
+  // multiplying by it could wrap u64 past this check.
+  const uint64_t lazy_rotations = total == 0 ? 0 : (total - 1) / stride;
+  const bool at_boundary = total != 0 && total % stride == 0;
+  // Also bound it so the global clock arithmetic in IngestWindowed
+  // ((bucket + 1) * stride) cannot wrap u64 (which would mis-split
+  // claims and silently break rotation).
+  if (lazy_rotations >= ~uint64_t{0} / stride - 1) {
+    return Status::Corruption("implausible combined item count " +
+                              std::to_string(total));
+  }
+  const bool plausible =
+      restored_rotations == lazy_rotations ||
+      (at_boundary && restored_rotations == total / stride);
+  if (!plausible) {
+    return Status::Corruption(
+        "window rotation count " + std::to_string(restored_rotations) +
+        " disagrees with the combined item count " + std::to_string(total) +
+        " (bucket width " + std::to_string(stride) + " implies " +
+        std::to_string(lazy_rotations) +
+        (at_boundary ? " or " + std::to_string(total / stride) : "") + ")");
+  }
+  *rotations = restored_rotations;
+  return Status::Ok();
+}
+
 }  // namespace
 
 // ---- Producer handle --------------------------------------------------
 
 ShardedEngine::Producer::Producer(ShardedEngine* engine, size_t slot)
-    : engine_(engine), slot_(slot) {
-  staging_.resize(engine_->shards_.size());
-  const size_t stage = std::max<size_t>(64, engine_->options_.drain_batch);
-  for (auto& buffer : staging_) buffer.reserve(stage);
-}
+    : engine_(engine), slot_(slot) {}
 
 ShardedEngine::Producer::~Producer() {
   // Slot 0 is the engine's own handle; it dies with the engine and is
@@ -284,19 +357,7 @@ void ShardedEngine::Producer::Update(uint64_t item, uint64_t weight) {
 }
 
 void ShardedEngine::Producer::UpdateBatch(std::span<const uint64_t> items) {
-  if (!engine_->windowed()) {
-    engine_->ScatterPush(slot_, staging_, items);
-    return;
-  }
-  // Split the batch at global bucket boundaries: each chunk is enqueued
-  // only once its bucket's rotation has fired, so shard buckets always
-  // partition the same global position range.
-  engine_->IngestWindowed(
-      items.size(), [this, items](uint64_t offset, uint64_t count) {
-        engine_->ScatterPush(slot_, staging_,
-                             items.subspan(static_cast<size_t>(offset),
-                                           static_cast<size_t>(count)));
-      });
+  UpdateColumn(items.data(), items.size());
 }
 
 void ShardedEngine::Producer::UpdateColumn(const uint64_t* items, size_t n) {
@@ -304,6 +365,9 @@ void ShardedEngine::Producer::UpdateColumn(const uint64_t* items, size_t n) {
     PartitionPush(items, n);
     return;
   }
+  // Split the slice at global bucket boundaries: each chunk is enqueued
+  // only once its bucket's rotation has fired, so shard buckets always
+  // partition the same global position range.
   engine_->IngestWindowed(n, [this, items](uint64_t offset, uint64_t count) {
     PartitionPush(items + offset, static_cast<size_t>(count));
   });
@@ -317,16 +381,16 @@ void ShardedEngine::Producer::PartitionPush(const uint64_t* items, size_t n) {
     return;
   }
   // Tile so the scratch stays cache-resident; each tile makes one
-  // contiguous ring push per occupied shard instead of one staging
-  // append (+ occasional flush) per item.
+  // contiguous ring push per occupied shard.
   constexpr size_t kTile = 8192;
   part_shards_.resize(std::min(n, kTile));
   part_scratch_.resize(std::min(n, kTile));
   part_starts_.assign(num_shards + 1, 0);
   part_cursors_.assign(num_shards, 0);
   // The sweep below must agree with ShardOf (Mix64 then mod) bit for
-  // bit — the differential test compares this route's shard streams
-  // against the per-item scatter route.  For power-of-two K the modulo
+  // bit — Update routes single items through ShardOf, and the
+  // differential tests compare the two routes' shard streams.  For
+  // power-of-two K the modulo
   // reduces to a mask, which keeps the hot loop free of the 64-bit
   // divide and lets the compiler pipeline the mix across items.
   const bool pow2 = (num_shards & (num_shards - 1)) == 0;
@@ -439,7 +503,8 @@ void ShardedEngine::BindWindows(uint64_t restored_rotations) {
     windows_.push_back(window);
   }
   rotation_stride_ = windows_[0]->bucket_width();
-  // Pre-thread-start stores: Restore preset slot 0's enqueued counters.
+  // Runs before the workers start (Create, Restore) or with them parked
+  // (ApplyFrames); either way slot 0's enqueued counters are final here.
   uint64_t total = 0;
   for (size_t s = 0; s < shards_.size(); ++s) total += ShardEnqueued(s);
   global_pos_.store(total, std::memory_order_relaxed);
@@ -588,6 +653,21 @@ void ShardedEngine::ResumeWorkers() {
   resume_cv_.notify_all();
 }
 
+template <typename Fn>
+decltype(auto) ShardedEngine::WithWorkersParked(Fn&& fn) {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  {
+    obs::ScopedPhase park("park_wait");
+    Flush();
+    PauseWorkers();
+  }
+  struct Resume {
+    ShardedEngine* engine;
+    ~Resume() { engine->ResumeWorkers(); }
+  } resume{this};
+  return fn();
+}
+
 // ---- Ingestion --------------------------------------------------------
 
 size_t ShardedEngine::ShardOf(uint64_t item) const {
@@ -703,36 +783,6 @@ void ShardedEngine::UpdateColumn(const uint64_t* items, size_t n) {
   controller_->UpdateColumn(items, n);
 }
 
-void ShardedEngine::ScatterPush(size_t slot,
-                                std::vector<std::vector<uint64_t>>& staging,
-                                std::span<const uint64_t> items) {
-  if (shards_.size() == 1) {
-    // No partitioning needed; feed the ring directly.
-    PushBlocking(slot, 0, items.data(), items.size());
-    return;
-  }
-  const size_t stage_cap = std::max<size_t>(64, options_.drain_batch);
-  for (const uint64_t item : items) {
-    const size_t s = ShardOf(item);
-    std::vector<uint64_t>& stage = staging[s];
-    stage.push_back(item);
-    if (stage.size() >= stage_cap) {
-      PushBlocking(slot, s, stage.data(), stage.size());
-      stage.clear();
-    }
-  }
-  FlushStaging(slot, staging);
-}
-
-void ShardedEngine::FlushStaging(
-    size_t slot, std::vector<std::vector<uint64_t>>& staging) {
-  for (size_t s = 0; s < staging.size(); ++s) {
-    if (staging[s].empty()) continue;
-    PushBlocking(slot, s, staging[s].data(), staging[s].size());
-    staging[s].clear();
-  }
-}
-
 // ---- Producer slots ---------------------------------------------------
 
 std::unique_ptr<ShardedEngine::Producer> ShardedEngine::RegisterProducer(
@@ -805,8 +855,6 @@ void ShardedEngine::Flush() {
       obs::GetCounter("l1hh_engine_flushes_total");
   const bool obs_on = obs::Enabled();
   const uint64_t t0 = obs_on ? obs::TraceRing::NowNs() : 0;
-  // Staging buffers need no draining here: ScatterPush always flushes
-  // them before returning, so they are empty between public calls.
   IdleBackoff backoff;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const uint64_t target = ShardEnqueued(s);
@@ -925,88 +973,50 @@ const Summary& ShardedEngine::RebuildMergedLocked() {
 const Summary& ShardedEngine::MergedView() {
   // LEGACY contract (see header): controller thread only, producers
   // quiescent — the returned reference is read after the workers resume.
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  Flush();
-  PauseWorkers();
-  const Summary& view = RebuildMergedLocked();
-  ResumeWorkers();
-  return view;
+  return WithWorkersParked(
+      [this]() -> const Summary& { return RebuildMergedLocked(); });
 }
 
 double ShardedEngine::Estimate(uint64_t item) {
-  // Inert (flattened) when a serving front end already opened a verb span
-  // on this thread; stands alone for direct embedders.
-  obs::QuerySpan span("estimate");
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  {
-    obs::ScopedPhase park("park_wait");
-    Flush();
-    PauseWorkers();
-  }
-  const Summary& view = RebuildMergedLocked();
-  double estimate;
-  {
-    obs::ScopedPhase report("report");
-    estimate = view.Estimate(item);
-  }
-  ResumeWorkers();
-  return estimate;
+  return EstimateBatch({item}).front();
 }
 
 std::vector<double> ShardedEngine::EstimateBatch(
     const std::vector<uint64_t>& items) {
+  // Inert (flattened) when a serving front end already opened a verb span
+  // on this thread; stands alone for direct embedders.
   obs::QuerySpan span("estimate");
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  {
-    obs::ScopedPhase park("park_wait");
-    Flush();
-    PauseWorkers();
-  }
-  const Summary& view = RebuildMergedLocked();
-  std::vector<double> estimates;
-  {
+  return WithWorkersParked([&] {
+    const Summary& view = RebuildMergedLocked();
     obs::ScopedPhase report("report");
+    std::vector<double> estimates;
     estimates.reserve(items.size());
-    for (const uint64_t item : items) {
-      estimates.push_back(view.Estimate(item));
-    }
-  }
-  ResumeWorkers();
-  return estimates;
+    for (const uint64_t item : items) estimates.push_back(view.Estimate(item));
+    return estimates;
+  });
 }
 
 std::vector<ItemEstimate> ShardedEngine::HeavyHitters(double phi) {
   obs::QuerySpan span("heavy");
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  {
-    obs::ScopedPhase park("park_wait");
-    Flush();
-    PauseWorkers();
-  }
-  const Summary& view = RebuildMergedLocked();
-  std::vector<ItemEstimate> report;
-  {
-    obs::ScopedPhase phase("report");
-    report = view.HeavyHitters(phi);
-  }
-  ResumeWorkers();
-  return report;
+  return WithWorkersParked([&] {
+    const Summary& view = RebuildMergedLocked();
+    obs::ScopedPhase report("report");
+    return view.HeavyHitters(phi);
+  });
 }
 
 size_t ShardedEngine::MemoryUsageBytes() {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  Flush();
-  PauseWorkers();
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->summary->MemoryUsageBytes();
-    for (const auto& ring : shard->rings) {
-      total += ring->capacity() * sizeof(uint64_t);
+  return WithWorkersParked([this] {
+    size_t total = 0;
+    for (const auto& shard : shards_) {
+      total += shard->summary->MemoryUsageBytes();
+      for (const auto& ring : shard->rings) {
+        total += ring->capacity() * sizeof(uint64_t);
+      }
     }
-  }
-  if (merged_valid_) total += merged_->MemoryUsageBytes();
-  ResumeWorkers();
-  return total;
+    if (merged_valid_) total += merged_->MemoryUsageBytes();
+    return total;
+  });
 }
 
 // ---- Checkpoint / Restore ---------------------------------------------
@@ -1055,13 +1065,10 @@ Status ShardedEngine::CaptureFramesLocked(
 Status ShardedEngine::CaptureFrames(
     const std::vector<ShardBaseline>& baselines, uint32_t max_delta_chain,
     std::vector<ShardFrame>* frames, uint64_t* total_applied) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  Flush();
-  PauseWorkers();
-  const Status result =
-      CaptureFramesLocked(baselines, max_delta_chain, frames, total_applied);
-  ResumeWorkers();
-  return result;
+  return WithWorkersParked([&] {
+    return CaptureFramesLocked(baselines, max_delta_chain, frames,
+                               total_applied);
+  });
 }
 
 Status ShardedEngine::WriteCheckpoint(const std::string& dir,
@@ -1072,10 +1079,7 @@ Status ShardedEngine::WriteCheckpoint(const std::string& dir,
   uint64_t frame_bytes = 0;
   uint64_t full_frames = 0;
   uint64_t delta_frames = 0;
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  Flush();
-  PauseWorkers();
-  Status result = [&]() -> Status {
+  const Status result = WithWorkersParked([&]() -> Status {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec) {
@@ -1172,8 +1176,7 @@ Status ShardedEngine::WriteCheckpoint(const std::string& dir,
     if (!s.ok()) return s;
     PruneCheckpoints(dir);
     return Status::Ok();
-  }();
-  ResumeWorkers();
+  });
   if (result.ok()) {
     obs::GetCounter("l1hh_io_checkpoints_total",
                     std::string("kind=\"") + kind + "\"")
@@ -1251,7 +1254,6 @@ std::unique_ptr<ShardedEngine> ShardedEngine::RestoreGeneration(
   Status parsed = ParseManifestFile(manifest_path, &manifest);
   if (!parsed.ok()) return fail(std::move(parsed));
   const std::string& algorithm = manifest.algorithm;
-  const uint64_t num_shards = manifest.num_shards;
 
   std::vector<std::unique_ptr<Summary>> loaded;
   loaded.reserve(manifest.shards.size());
@@ -1295,85 +1297,26 @@ std::unique_ptr<ShardedEngine> ShardedEngine::RestoreGeneration(
     }
     loaded.push_back(std::move(summary));
   }
-  if (num_shards > 1 && !loaded[0]->SupportsMerge()) {
-    return fail(Status::FailedPrecondition(
-        "'" + algorithm + "' does not support Merge; a multi-shard "
-        "checkpoint of it cannot be valid"));
-  }
-  // All shards must come from ONE checkpoint: same options and seed, or
-  // the first MergedView() query would fail on Merge compatibility (and
-  // abort).  Catch a spliced-in foreign shard file here, as a Status.
-  const SummaryOptions base = loaded[0]->Options();
-  for (size_t s = 1; s < loaded.size(); ++s) {
-    if (!(loaded[s]->Options() == base)) {
-      return fail(Status::Corruption(
-          "shard " + std::to_string(s) + "'s chain was built with "
-          "different options or seed than shard 0's; not shards of one "
-          "checkpoint"));
-    }
-  }
+  return FromSummaries(std::move(loaded), exec, status);
+}
 
-  // Windowed checkpoints additionally require rotation-aligned rings:
-  // every shard window must have crossed the same number of global bucket
-  // boundaries, or the restored rings would not be bucket-wise mergeable.
+std::unique_ptr<ShardedEngine> ShardedEngine::FromSummaries(
+    std::vector<std::unique_ptr<Summary>> loaded,
+    const ShardedEngineOptions& exec, Status* status) {
+  auto fail = [status](Status s) -> std::unique_ptr<ShardedEngine> {
+    if (status != nullptr) *status = std::move(s);
+    return nullptr;
+  };
+  std::vector<const Summary*> views;
+  for (const auto& summary : loaded) views.push_back(summary.get());
   uint64_t restored_rotations = 0;
-  if (const auto* window0 =
-          dynamic_cast<const SlidingWindowSummary*>(loaded[0].get())) {
-    restored_rotations = window0->rotations();
-    for (size_t s = 1; s < loaded.size(); ++s) {
-      const auto* window =
-          static_cast<const SlidingWindowSummary*>(loaded[s].get());
-      if (window->rotations() != restored_rotations) {
-        return fail(Status::Corruption(
-            "shard " + std::to_string(s) + " rotated " +
-            std::to_string(window->rotations()) + " times, shard 0 " +
-            std::to_string(restored_rotations) +
-            "; not windows of one lockstep checkpoint"));
-      }
-    }
-    uint64_t total = 0;
-    for (const auto& summary : loaded) total += summary->ItemsProcessed();
-    const uint64_t stride = window0->bucket_width();
-    // The rotation protocol admits floor((total-1)/stride) rotations for
-    // any item total — and, exactly AT a boundary, one more: a
-    // multi-producer checkpoint can catch the state where the boundary
-    // claimant has rotated but its boundary item is not yet applied
-    // (single-producer lazy rotation only ever checkpoints the former).
-    // Derive by DIVISION: `restored_rotations` comes off the wire, and
-    // multiplying by it could wrap u64 past this check (the same
-    // hardening the snapshot width*depth checks got in PR 4).
-    const uint64_t lazy_rotations = total == 0 ? 0 : (total - 1) / stride;
-    const bool at_boundary = total != 0 && total % stride == 0;
-    // Also bound it so the global clock arithmetic in IngestWindowed
-    // ((bucket + 1) * stride) cannot wrap u64 (which would mis-split
-    // claims and silently break rotation).
-    if (lazy_rotations >= ~uint64_t{0} / stride - 1) {
-      return fail(Status::Corruption(
-          "checkpoint claims an implausible combined item count " +
-          std::to_string(total)));
-    }
-    const bool plausible =
-        restored_rotations == lazy_rotations ||
-        (at_boundary && restored_rotations == total / stride);
-    if (!plausible) {
-      return fail(Status::Corruption(
-          "checkpoint window rotation count " +
-          std::to_string(restored_rotations) +
-          " disagrees with the combined item count " +
-          std::to_string(total) + " (bucket width " +
-          std::to_string(stride) + " implies " +
-          std::to_string(lazy_rotations) +
-          (at_boundary
-               ? " or " + std::to_string(total / stride)
-               : "") +
-          ")"));
-    }
-  }
+  Status valid = ValidateShardSet(views, &restored_rotations);
+  if (!valid.ok()) return fail(std::move(valid));
 
   ShardedEngineOptions options = exec;
-  options.algorithm = algorithm;
+  options.algorithm = std::string(loaded[0]->Name());
   options.summary = loaded[0]->Options();
-  options.num_shards = static_cast<size_t>(num_shards);
+  options.num_shards = loaded.size();
   if (options.max_producers == 0 ||
       options.max_producers > kMaxProducerSlots) {
     return fail(Status::InvalidArgument(
@@ -1395,6 +1338,100 @@ std::unique_ptr<ShardedEngine> ShardedEngine::RestoreGeneration(
   engine->StartWorkers();
   if (status != nullptr) *status = Status::Ok();
   return engine;
+}
+
+std::unique_ptr<ShardedEngine> ShardedEngine::FromFrames(
+    const std::vector<ShardFrame>& frames, size_t num_shards,
+    const ShardedEngineOptions& exec, Status* status) {
+  auto fail = [status](Status s) -> std::unique_ptr<ShardedEngine> {
+    if (status != nullptr) *status = std::move(s);
+    return nullptr;
+  };
+  if (num_shards == 0 || frames.size() != num_shards) {
+    return fail(Status::InvalidArgument(
+        "a cold round carries one full frame per shard: got " +
+        std::to_string(frames.size()) + " frames for " +
+        std::to_string(num_shards) + " shards"));
+  }
+  std::vector<std::unique_ptr<Summary>> loaded(num_shards);
+  for (const ShardFrame& frame : frames) {
+    if (frame.delta || frame.shard >= num_shards ||
+        loaded[frame.shard] != nullptr) {
+      return fail(Status::InvalidArgument(
+          "a cold round carries one full frame per shard; shard " +
+          std::to_string(frame.shard) + " is repeated, out of range, or a "
+          "delta"));
+    }
+    Status load_status;
+    loaded[frame.shard] = LoadSummary(frame.bytes, &load_status);
+    if (loaded[frame.shard] == nullptr) return fail(std::move(load_status));
+  }
+  return FromSummaries(std::move(loaded), exec, status);
+}
+
+Status ShardedEngine::ApplyFrames(const std::vector<ShardFrame>& frames) {
+  return WithWorkersParked([&] { return ApplyFramesLocked(frames); });
+}
+
+Status ShardedEngine::ApplyFramesLocked(const std::vector<ShardFrame>& frames) {
+  // Stage every frame off to the side: a full frame decodes into a fresh
+  // summary, a delta applies onto a copy of the shard's staged-or-live
+  // state.  Nothing live changes until every frame decoded and the
+  // resulting shard set validated, so a refused frame leaves the engine
+  // at the previous committed round.
+  std::vector<std::unique_ptr<Summary>> staged(shards_.size());
+  const Summary& reference = *shards_[0]->summary;
+  for (const ShardFrame& frame : frames) {
+    if (frame.shard >= shards_.size()) {
+      return Status::InvalidArgument(
+          "frame for shard " + std::to_string(frame.shard) + " of a " +
+          std::to_string(shards_.size()) + "-shard engine");
+    }
+    std::unique_ptr<Summary>& slot = staged[frame.shard];
+    Status s;
+    std::unique_ptr<Summary> next;
+    if (frame.delta) {
+      std::vector<uint8_t> base;
+      s = SaveSummary(slot != nullptr ? *slot : *shards_[frame.shard]->summary,
+                      &base);
+      if (s.ok()) next = LoadSummary(base, &s);
+      if (next != nullptr) s = ApplySummaryDelta(frame.bytes, next.get());
+    } else {
+      next = LoadSummary(frame.bytes, &s);
+    }
+    if (!s.ok()) return s;
+    if (next->Name() != reference.Name() ||
+        !(next->Options() == reference.Options())) {
+      return Status::Corruption(
+          "frame for shard " + std::to_string(frame.shard) + " holds '" +
+          std::string(next->Name()) + "' built with different options or "
+          "seed than this engine's '" + std::string(reference.Name()) + "'");
+    }
+    slot = std::move(next);
+  }
+  std::vector<const Summary*> views;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    views.push_back(staged[s] != nullptr ? staged[s].get()
+                                         : shards_[s]->summary.get());
+  }
+  uint64_t rotations = 0;
+  const Status valid = ValidateShardSet(views, &rotations);
+  if (!valid.ok()) return valid;
+  // Commit.  The frame-fed engine has no producers, so slot 0's enqueued
+  // counter absorbs the clock change (u64 wrap handles a shrink) and the
+  // Flush targets stay equal to the applied counts.
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (staged[s] == nullptr) continue;
+    const uint64_t before = shards_[s]->applied.load(std::memory_order_relaxed);
+    const uint64_t after = staged[s]->ItemsProcessed();
+    shards_[s]->summary = std::move(staged[s]);
+    shards_[s]->applied.store(after, std::memory_order_release);
+    slots_[0]->enqueued[s].value.fetch_add(after - before,
+                                           std::memory_order_release);
+  }
+  merged_valid_ = false;
+  BindWindows(rotations);
+  return Status::Ok();
 }
 
 std::unique_ptr<ShardedEngine> ShardedEngine::Restore(const std::string& dir,

@@ -46,7 +46,7 @@
 //     thread CONCURRENTLY with the controller and with other handles; a
 //     single handle must not be shared between threads without external
 //     synchronization (it owns the SPSC producer side of its rings and
-//     its scatter-staging buffers).
+//     its partition-pass scratch).
 //   * The engine's internal workers are the only ring consumers, and
 //     each shard is owned by exactly one worker.
 //   * Flush / Estimate / HeavyHitters / MemoryUsageBytes / Checkpoint
@@ -172,7 +172,7 @@ struct EngineMetrics {
 class ShardedEngine {
  public:
   /// A claimed producer slot: an independent ingestion endpoint with its
-  /// own ring per shard and its own scatter-staging buffers.  Obtain via
+  /// own ring per shard and its own partition-pass scratch.  Obtain via
   /// RegisterProducer; destroying the handle returns the slot for reuse
   /// (items already enqueued stay enqueued).  One thread per handle.
   class Producer {
@@ -186,14 +186,13 @@ class ShardedEngine {
     /// windowed engines, on the global rotation gate.
     void Update(uint64_t item, uint64_t weight = 1);
 
-    /// Enqueues a batch, scatter-partitioned to the owning shards.
+    /// Enqueues a batch; the span spelling of UpdateColumn.
     void UpdateBatch(std::span<const uint64_t> items);
 
     /// Columnar ingest: routes the slice with a per-batch partition pass
     /// (tiled shard-id sweep -> counting prefix sum -> scatter into
-    /// contiguous per-shard runs, one ring push per shard per tile)
-    /// instead of UpdateBatch's per-item staging dispatch.  Same blocking
-    /// behavior and windowed-rotation gating as UpdateBatch.
+    /// contiguous per-shard runs, one ring push per shard per tile).
+    /// Each shard receives its items in slice order.  Blocks like Update.
     void UpdateColumn(const uint64_t* items, size_t n);
 
     /// This handle's slot index in [1, max_producers).
@@ -209,9 +208,7 @@ class ShardedEngine {
 
     ShardedEngine* engine_;
     size_t slot_;
-    // Per-shard scatter buffers, same role as the controller's.
-    std::vector<std::vector<uint64_t>> staging_;
-    // UpdateColumn partition-pass scratch (tile-sized, slot-local).
+    // Partition-pass scratch (tile-sized, slot-local).
     std::vector<uint32_t> part_shards_;
     std::vector<size_t> part_starts_;
     std::vector<size_t> part_cursors_;
@@ -245,8 +242,8 @@ class ShardedEngine {
   /// backpressure (owning shard's slot-0 ring full).
   void Update(uint64_t item, uint64_t weight = 1);
 
-  /// Enqueues a batch on slot 0, scatter-partitioned to the owning
-  /// shards.
+  /// Enqueues a batch on slot 0 (the partition-pass route, see
+  /// Producer::UpdateColumn).
   void UpdateBatch(std::span<const uint64_t> items);
 
   /// Columnar ingest on slot 0: the partition-pass route (see
@@ -342,12 +339,34 @@ class ShardedEngine {
   /// full snapshot container.  Pass an empty vector for a cold consumer
   /// (all full frames).  `*total_applied` gets the global applied count
   /// the frames bring the consumer to.  This is the shared capture step
-  /// behind CheckpointDelta and the replication stream in
-  /// tools/l1hh_serve.cc.  Safe from any thread.
+  /// behind CheckpointDelta and the replication stream (src/serve/);
+  /// ApplyFrames is its inverse.  Safe from any thread.
   Status CaptureFrames(const std::vector<ShardBaseline>& baselines,
                        uint32_t max_delta_chain,
                        std::vector<ShardFrame>* frames,
                        uint64_t* total_applied);
+
+  /// Builds a frame-fed engine (a replica) from a cold round: exactly
+  /// one full frame per shard in [0, num_shards), as CaptureFrames emits
+  /// against empty baselines.  The shard set passes Restore's validation
+  /// (same structure, options and seed on every shard; windows aligned on
+  /// rotations); `exec` supplies only the execution knobs, as for
+  /// Restore.  Returns nullptr with the reason in *status otherwise.
+  static std::unique_ptr<ShardedEngine> FromFrames(
+      const std::vector<ShardFrame>& frames, size_t num_shards,
+      const ShardedEngineOptions& exec, Status* status = nullptr);
+
+  /// The inverse of CaptureFrames: commits one round of frames (full
+  /// snapshot or delta containers; frames for the same shard apply in
+  /// order) as ONE atomic step under the state mutex.  Every
+  /// frame is decoded off to the side first — a delta onto a copy of the
+  /// shard — and the resulting shard set must pass the same validation as
+  /// FromFrames, so a refused round (Corruption, InvalidArgument) leaves
+  /// the engine exactly at its previous committed round and a query never
+  /// sees shards of two rounds.  Safe from any thread concurrently with
+  /// queries; meant for frame-fed engines, which have no producers (the
+  /// frames replace shard state wholesale).
+  Status ApplyFrames(const std::vector<ShardFrame>& frames);
 
   /// Rebuilds an engine from a Checkpoint directory and resumes ingestion
   /// exactly where it left off: same algorithm, same per-shard options and
@@ -442,14 +461,15 @@ class ShardedEngine {
   // from the pausing thread.
   void PauseWorkers();
   void ResumeWorkers();
+  // Runs `fn` under state_mutex_ with everything enqueued before the call
+  // applied and the workers parked (shard summaries and the merge cache
+  // are then safe to touch), resuming them on the way out.  The flush and
+  // park are timed as the open span's park_wait phase.
+  template <typename Fn>
+  decltype(auto) WithWorkersParked(Fn&& fn);
   // Blocks until all n items are enqueued on `shard`'s ring for `slot`.
   void PushBlocking(size_t slot, size_t shard_index, const uint64_t* data,
                     size_t n);
-  void FlushStaging(size_t slot, std::vector<std::vector<uint64_t>>& staging);
-  // The pre-windowing UpdateBatch body: scatter-partition to the slot's
-  // staging buffers and bulk-push.
-  void ScatterPush(size_t slot, std::vector<std::vector<uint64_t>>& staging,
-                   std::span<const uint64_t> items);
   // Releases a slot claimed by RegisterProducer (Producer destructor).
   void ReleaseProducer(size_t slot);
   // Sum of every slot's enqueued counter for one shard / for all shards,
@@ -483,6 +503,8 @@ class ShardedEngine {
                              uint32_t max_delta_chain,
                              std::vector<ShardFrame>* frames,
                              uint64_t* total_applied);
+  // ApplyFrames body; requires state_mutex_ held and workers parked.
+  Status ApplyFramesLocked(const std::vector<ShardFrame>& frames);
   // Shared Checkpoint / CheckpointDelta body: capture frames against the
   // newest on-disk manifest (when `incremental`), write the changed
   // files, seal the new generation with its manifest, prune old ones.
@@ -491,6 +513,11 @@ class ShardedEngine {
   // walks generations newest-first until one succeeds.
   static std::unique_ptr<ShardedEngine> RestoreGeneration(
       const std::string& dir, uint64_t generation,
+      const ShardedEngineOptions& exec, Status* status);
+  // Validates a decoded shard set (Restore and FromFrames) and builds the
+  // engine around it, clocks preset from the shards' item counts.
+  static std::unique_ptr<ShardedEngine> FromSummaries(
+      std::vector<std::unique_ptr<Summary>> loaded,
       const ShardedEngineOptions& exec, Status* status);
 
   ShardedEngineOptions options_;

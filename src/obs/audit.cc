@@ -14,6 +14,19 @@ namespace {
 // Decorrelates the sampling hash from the engine's shard router (which
 // reduces a bare Mix64(item)): a shard must not see a biased sampled set.
 constexpr uint64_t kAuditSeedSalt = 0x9e3779b97f4a7c15ULL;
+
+void PublishAuditReport(const AuditReport& report) {
+  static FloatGauge* const eps_ratio =
+      GetFloatGauge("l1hh_audit_observed_eps_ratio");
+  static FloatGauge* const recall =
+      GetFloatGauge("l1hh_audit_shadow_recall");
+  static Gauge* const shadow_keys = GetGauge("l1hh_audit_shadow_keys");
+  static Counter* const runs = GetCounter("l1hh_audit_runs_total");
+  eps_ratio->Set(report.eps_ratio);
+  recall->Set(report.recall);
+  shadow_keys->Set(static_cast<int64_t>(report.shadow_keys));
+  runs->Inc();
+}
 }  // namespace
 
 AccuracyAuditor::AccuracyAuditor(const AuditorOptions& options)
@@ -173,17 +186,22 @@ AuditReport AccuracyAuditor::AuditSummary(const Summary& summary) {
       summary.ItemsProcessed());
 }
 
-void PublishAuditReport(const AuditReport& report) {
-  static FloatGauge* const eps_ratio =
-      GetFloatGauge("l1hh_audit_observed_eps_ratio");
-  static FloatGauge* const recall =
-      GetFloatGauge("l1hh_audit_shadow_recall");
-  static Gauge* const shadow_keys = GetGauge("l1hh_audit_shadow_keys");
-  static Counter* const runs = GetCounter("l1hh_audit_runs_total");
-  eps_ratio->Set(report.eps_ratio);
-  recall->Set(report.recall);
-  shadow_keys->Set(static_cast<int64_t>(report.shadow_keys));
-  runs->Inc();
+void AccuracyAuditor::InstallShadow(
+    const std::vector<std::pair<uint64_t, uint64_t>>& shadow,
+    uint64_t items_seen) {
+  std::lock_guard<std::mutex> lock(mu_);
+  shadow_.clear();
+  sampled_items_ = 0;
+  dropped_items_ = 0;
+  for (const auto& [key, count] : shadow) {
+    sampled_items_ += count;
+    if (shadow_.size() >= options_.max_shadow_keys) {
+      dropped_items_ += count;
+    } else {
+      shadow_[key] += count;
+    }
+  }
+  items_seen_.store(items_seen, std::memory_order_relaxed);
 }
 
 }  // namespace obs

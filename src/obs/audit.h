@@ -111,6 +111,12 @@ class AccuracyAuditor {
   // Convenience for single-summary embedders (the CLI's --audit).
   AuditReport AuditSummary(const Summary& summary);
 
+  // Replaces the shadow with exact (key, count) truth sampled elsewhere,
+  // taken when `items_seen` items had been observed: a replica installs
+  // the shadow its primary ships and audits its own engine against it.
+  void InstallShadow(const std::vector<std::pair<uint64_t, uint64_t>>& shadow,
+                     uint64_t items_seen);
+
  private:
   const AuditorOptions options_;
   const uint64_t mixed_seed_;  // pre-mixed so SampledKey is one Mix64
@@ -121,10 +127,6 @@ class AccuracyAuditor {
   uint64_t sampled_items_ = 0;
   std::atomic<uint64_t> items_seen_{0};  // bumped outside the mutex
 };
-
-// Publishes a report computed elsewhere (the replica audits against a
-// shadow shipped from the primary rather than one it sampled itself).
-void PublishAuditReport(const AuditReport& report);
 
 }  // namespace obs
 }  // namespace l1hh

@@ -133,10 +133,6 @@ void CountMinHeavyHitters::Insert(uint64_t item) {
   }
 }
 
-void CountMinHeavyHitters::InsertBatch(const uint64_t* items, size_t n) {
-  for (size_t i = 0; i < n; ++i) Insert(items[i]);
-}
-
 void CountMinHeavyHitters::InsertColumn(const uint64_t* items, size_t n) {
   // The visitor runs after item i's increments land and before item
   // i+1's, so the candidate checks (and the occasional prune, which

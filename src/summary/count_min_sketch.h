@@ -136,10 +136,6 @@ class CountMinHeavyHitters {
 
   void Insert(uint64_t item);
 
-  /// Tight batch ingestion: one pass over `items` without per-item
-  /// function-call overhead; state-identical to calling Insert in a loop.
-  void InsertBatch(const uint64_t* items, size_t n);
-
   /// Columnar ingestion: the sketch's tiled hash-prepass path plus the
   /// same candidate bookkeeping Insert does, applied per item as its
   /// increment lands — state-identical to calling Insert in a loop (the

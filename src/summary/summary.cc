@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 
@@ -93,255 +94,102 @@ Status SnapshotShapeMismatch(std::string_view name) {
 
 // ---------------------------------------------------------------------------
 
-class MisraGriesSummary : public Summary {
- public:
-  explicit MisraGriesSummary(const SummaryOptions& o)
-      : options_(o),
-        epsilon_(o.epsilon),
-        mg_(static_cast<size_t>(std::ceil(1.0 / o.epsilon)),
-            KeyBits(o.universe_size)) {}
+// Misra-Gries, Space-Saving, Lossy Counting and Sticky Sampling share one
+// adapter: a counter table with Insert / Estimate / EntriesAbove /
+// SpaceBits / Serialize.  They differ in how far below phi*m HeavyHitters
+// thresholds (`slack`, see the registrations), in mergeability (a static
+// Table::Merge) and in how a loaded table is checked against the
+// constructed one (SameShape, or Sticky Sampling's in-place Deserialize).
+bool SameShape(const MisraGries& a, const MisraGries& b) {
+  return a.k() == b.k();
+}
+bool SameShape(const SpaceSaving& a, const SpaceSaving& b) {
+  return a.k() == b.k();
+}
+bool SameShape(const LossyCounting& a, const LossyCounting& b) {
+  return a.epsilon() == b.epsilon();
+}
 
-  std::string_view Name() const override { return "misra_gries"; }
+template <typename Table>
+class CounterTableSummary : public Summary {
+ public:
+  static constexpr bool kMergeable =
+      requires(const Table& t) { Table::Merge(t, t); };
+
+  CounterTableSummary(std::string_view name, const SummaryOptions& o,
+                      Table table, double slack)
+      : name_(name), options_(o), slack_(slack), table_(std::move(table)) {}
+
+  std::string_view Name() const override { return name_; }
   SummaryOptions Options() const override { return options_; }
 
   void Update(uint64_t item, uint64_t weight) override {
-    for (uint64_t i = 0; i < weight; ++i) mg_.Insert(item);
+    for (uint64_t i = 0; i < weight; ++i) table_.Insert(item);
   }
 
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) mg_.Insert(x);
-  }
-
-  void UpdateColumn(const uint64_t* items, size_t n) override {
-    for (size_t i = 0; i < n; ++i) mg_.Insert(items[i]);
-  }
-
-  double Estimate(uint64_t item) const override {
-    return static_cast<double>(mg_.Estimate(item));
-  }
-
-  // Misra-Gries undercounts by <= m/(k+1) <= eps*m, so threshold at
-  // (phi - eps)*m to keep every true phi-heavy item.
-  std::vector<ItemEstimate> HeavyHitters(double phi) const override {
-    return ToItemEstimates(mg_.EntriesAbove(
-        CeilThreshold(phi - epsilon_, mg_.items_processed())));
-  }
-
-  uint64_t ItemsProcessed() const override { return mg_.items_processed(); }
-  size_t MemoryUsageBytes() const override {
-    return (mg_.SpaceBits() + 7) / 8;
-  }
-
-  bool SupportsMerge() const override { return true; }
-  Status Merge(const Summary& other) override {
-    const auto* rhs = dynamic_cast<const MisraGriesSummary*>(&other);
-    // Equal k keeps the merged undercount within this summary's eps.
-    if (rhs == nullptr || rhs->mg_.k() != mg_.k()) {
-      return IncompatibleMerge(Name());
-    }
-    mg_ = MisraGries::Merge(mg_, rhs->mg_);
-    return Status::Ok();
-  }
-
-  bool SupportsSnapshot() const override { return true; }
-  Status SaveTo(BitWriter& out) const override {
-    mg_.Serialize(out);
-    return Status::Ok();
-  }
-  Status LoadFrom(BitReader& in) override {
-    MisraGries loaded = MisraGries::Deserialize(in);
-    if (in.overflow()) return in.status();
-    if (loaded.k() != mg_.k()) return SnapshotShapeMismatch(Name());
-    mg_ = std::move(loaded);
-    return Status::Ok();
-  }
-
- private:
-  SummaryOptions options_;
-  double epsilon_;
-  MisraGries mg_;
-};
-
-class SpaceSavingSummary : public Summary {
- public:
-  explicit SpaceSavingSummary(const SummaryOptions& o)
-      : options_(o),
-        ss_(static_cast<size_t>(std::ceil(1.0 / o.epsilon)),
-            KeyBits(o.universe_size)) {}
-
-  std::string_view Name() const override { return "space_saving"; }
-  SummaryOptions Options() const override { return options_; }
-
-  void Update(uint64_t item, uint64_t weight) override {
-    for (uint64_t i = 0; i < weight; ++i) ss_.Insert(item);
-  }
-
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) ss_.Insert(x);
-  }
-
-  void UpdateColumn(const uint64_t* items, size_t n) override {
-    for (size_t i = 0; i < n; ++i) ss_.Insert(items[i]);
-  }
-
-  double Estimate(uint64_t item) const override {
-    return static_cast<double>(ss_.Estimate(item));
-  }
-
-  // Space-Saving overcounts, so thresholding at phi*m keeps every item
-  // with true frequency above phi*m.
-  std::vector<ItemEstimate> HeavyHitters(double phi) const override {
-    return ToItemEstimates(
-        ss_.EntriesAbove(CeilThreshold(phi, ss_.items_processed())));
-  }
-
-  uint64_t ItemsProcessed() const override { return ss_.items_processed(); }
-  size_t MemoryUsageBytes() const override {
-    return (ss_.SpaceBits() + 7) / 8;
-  }
-
-  bool SupportsMerge() const override { return true; }
-  Status Merge(const Summary& other) override {
-    const auto* rhs = dynamic_cast<const SpaceSavingSummary*>(&other);
-    // Equal k keeps the merged overcount within this summary's eps.
-    if (rhs == nullptr || rhs->ss_.k() != ss_.k()) {
-      return IncompatibleMerge(Name());
-    }
-    ss_ = SpaceSaving::Merge(ss_, rhs->ss_);
-    return Status::Ok();
-  }
-
-  bool SupportsSnapshot() const override { return true; }
-  Status SaveTo(BitWriter& out) const override {
-    ss_.Serialize(out);
-    return Status::Ok();
-  }
-  Status LoadFrom(BitReader& in) override {
-    SpaceSaving loaded = SpaceSaving::Deserialize(in);
-    if (in.overflow()) return in.status();
-    if (loaded.k() != ss_.k()) return SnapshotShapeMismatch(Name());
-    ss_ = std::move(loaded);
-    return Status::Ok();
-  }
-
- private:
-  SummaryOptions options_;
-  SpaceSaving ss_;
-};
-
-class LossyCountingSummary : public Summary {
- public:
-  explicit LossyCountingSummary(const SummaryOptions& o)
-      : options_(o), lc_(o.epsilon, KeyBits(o.universe_size)) {}
-
-  std::string_view Name() const override { return "lossy_counting"; }
-  SummaryOptions Options() const override { return options_; }
-
-  void Update(uint64_t item, uint64_t weight) override {
-    for (uint64_t i = 0; i < weight; ++i) lc_.Insert(item);
-  }
-
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) lc_.Insert(x);
-  }
-
-  void UpdateColumn(const uint64_t* items, size_t n) override {
-    for (size_t i = 0; i < n; ++i) lc_.Insert(items[i]);
-  }
-
-  double Estimate(uint64_t item) const override {
-    return static_cast<double>(lc_.Estimate(item));
-  }
-
-  // EntriesAbove already compensates the undercount via each entry's
-  // recorded max undercount delta, so phi*m keeps all true heavies.
-  std::vector<ItemEstimate> HeavyHitters(double phi) const override {
-    return ToItemEstimates(
-        lc_.EntriesAbove(CeilThreshold(phi, lc_.items_processed())));
-  }
-
-  uint64_t ItemsProcessed() const override { return lc_.items_processed(); }
-  size_t MemoryUsageBytes() const override {
-    return (lc_.SpaceBits() + 7) / 8;
-  }
-
-  bool SupportsSnapshot() const override { return true; }
-  Status SaveTo(BitWriter& out) const override {
-    lc_.Serialize(out);
-    return Status::Ok();
-  }
-  Status LoadFrom(BitReader& in) override {
-    LossyCounting loaded = LossyCounting::Deserialize(in);
-    if (in.overflow()) return in.status();
-    if (loaded.epsilon() != lc_.epsilon()) {
-      return SnapshotShapeMismatch(Name());
-    }
-    lc_ = std::move(loaded);
-    return Status::Ok();
-  }
-
- private:
-  SummaryOptions options_;
-  LossyCounting lc_;
-};
-
-class StickySamplingSummary : public Summary {
- public:
-  explicit StickySamplingSummary(const SummaryOptions& o)
-      : options_(o),
-        ss_(o.epsilon, o.phi, o.delta, o.seed, KeyBits(o.universe_size)) {}
-
-  std::string_view Name() const override { return "sticky_sampling"; }
-  SummaryOptions Options() const override { return options_; }
-
-  void Update(uint64_t item, uint64_t weight) override {
-    for (uint64_t i = 0; i < weight; ++i) ss_.Insert(item);
-  }
-
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) ss_.Insert(x);
-  }
-
-  // Sequential by necessity: each Insert draws from the sampling PRNG, so
+  // Sequential: Sticky Sampling's Insert draws from its sampling PRNG, so
   // the column loop must consume randomness in exactly the scalar order.
   void UpdateColumn(const uint64_t* items, size_t n) override {
-    for (size_t i = 0; i < n; ++i) ss_.Insert(items[i]);
+    for (size_t i = 0; i < n; ++i) table_.Insert(items[i]);
   }
 
   double Estimate(uint64_t item) const override {
-    return static_cast<double>(ss_.Estimate(item));
+    return static_cast<double>(table_.Estimate(item));
   }
 
-  // EntriesAbove already compensates the <= eps*m undercount internally
-  // (it admits entries with count + eps*m >= threshold), so pass phi*m
-  // directly; subtracting eps here would double-compensate and report
-  // items as light as (phi - 2 eps)*m.
   std::vector<ItemEstimate> HeavyHitters(double phi) const override {
-    return ToItemEstimates(
-        ss_.EntriesAbove(CeilThreshold(phi, ss_.items_processed())));
+    return ToItemEstimates(table_.EntriesAbove(
+        CeilThreshold(phi - slack_, table_.items_processed())));
   }
 
-  uint64_t ItemsProcessed() const override { return ss_.items_processed(); }
+  uint64_t ItemsProcessed() const override {
+    return table_.items_processed();
+  }
   size_t MemoryUsageBytes() const override {
-    return (ss_.SpaceBits() + 7) / 8;
+    return (table_.SpaceBits() + 7) / 8;
+  }
+
+  bool SupportsMerge() const override { return kMergeable; }
+  Status Merge(const Summary& other) override {
+    if constexpr (kMergeable) {
+      const auto* rhs = dynamic_cast<const CounterTableSummary*>(&other);
+      // Equal k keeps the merged error within this summary's eps.
+      if (rhs == nullptr || !SameShape(rhs->table_, table_)) {
+        return IncompatibleMerge(Name());
+      }
+      table_ = Table::Merge(table_, rhs->table_);
+      return Status::Ok();
+    } else {
+      return Summary::Merge(other);
+    }
   }
 
   bool SupportsSnapshot() const override { return true; }
   Status SaveTo(BitWriter& out) const override {
-    ss_.Serialize(out);
+    table_.Serialize(out);
     return Status::Ok();
   }
   Status LoadFrom(BitReader& in) override {
-    // Member-function Deserialize: configuration stays as constructed from
-    // the header options; only the dynamic state (table, rate, PRNG) is
-    // replaced, and only if the payload is intact.
-    ss_.Deserialize(in);
-    return in.status();
+    if constexpr (std::is_same_v<Table, StickySampling>) {
+      // Member Deserialize: configuration stays as constructed from the
+      // header options; only the dynamic state (table, rate, PRNG) is
+      // replaced, and only if the payload is intact.
+      table_.Deserialize(in);
+      return in.status();
+    } else {
+      Table loaded = Table::Deserialize(in);
+      if (in.overflow()) return in.status();
+      if (!SameShape(loaded, table_)) return SnapshotShapeMismatch(Name());
+      table_ = std::move(loaded);
+      return Status::Ok();
+    }
   }
 
  private:
+  std::string_view name_;
   SummaryOptions options_;
-  StickySampling ss_;
+  double slack_;
+  Table table_;
 };
 
 class ExactCounterSummary : public Summary {
@@ -353,10 +201,6 @@ class ExactCounterSummary : public Summary {
 
   void Update(uint64_t item, uint64_t weight) override {
     exact_.Insert(item, weight);
-  }
-
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) exact_.Insert(x);
   }
 
   void UpdateColumn(const uint64_t* items, size_t n) override {
@@ -429,12 +273,6 @@ class CountMinSummary : public Summary {
 
   void Update(uint64_t item, uint64_t weight) override {
     for (uint64_t i = 0; i < weight; ++i) cm_.Insert(item);
-  }
-
-  // Tight batch path: InsertBatch runs the fused insert+estimate loop
-  // (one hash per row per item) with no virtual dispatch per item.
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    cm_.InsertBatch(items.data(), items.size());
   }
 
   // Native columnar path: a vectorizable multiply-shift hash pre-pass
@@ -518,15 +356,6 @@ class CountSketchSummary : public Summary {
   void Update(uint64_t item, uint64_t weight) override {
     cs_.Insert(item, static_cast<int64_t>(weight));
     TrackCandidate(item);
-  }
-
-  // Tight batch path: one non-virtual loop over insert + candidate
-  // tracking (state-identical to the Update loop).
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) {
-      cs_.Insert(x, 1);
-      TrackCandidate(x);
-    }
   }
 
   void UpdateColumn(const uint64_t* items, size_t n) override {
@@ -636,10 +465,6 @@ class HashedMisraGriesSummary : public Summary {
     for (uint64_t i = 0; i < weight; ++i) table_.Insert(item);
   }
 
-  void UpdateBatch(std::span<const uint64_t> items) override {
-    for (const uint64_t x : items) table_.Insert(x);
-  }
-
   void UpdateColumn(const uint64_t* items, size_t n) override {
     for (size_t i = 0; i < n; ++i) table_.Insert(items[i]);
   }
@@ -734,12 +559,46 @@ void RegisterAdapter(const std::string& name) {
   });
 }
 
+// `make` builds the table from the options; with `eps_slack` HeavyHitters
+// thresholds at (phi - eps)*m instead of phi*m.
+template <typename Table, typename Make>
+void RegisterCounterTable(const char* name, bool eps_slack, Make make) {
+  RegisterSummary(name, [=](const SummaryOptions& o) {
+    return std::unique_ptr<Summary>(new CounterTableSummary<Table>(
+        name, o, make(o), eps_slack ? o.epsilon : 0.0));
+  });
+}
+
+size_t CountersFor(double epsilon) {
+  return static_cast<size_t>(std::ceil(1.0 / epsilon));
+}
+
 void EnsureBuiltinsRegistered() {
   static const bool done = [] {
-    RegisterAdapter<MisraGriesSummary>("misra_gries");
-    RegisterAdapter<SpaceSavingSummary>("space_saving");
-    RegisterAdapter<LossyCountingSummary>("lossy_counting");
-    RegisterAdapter<StickySamplingSummary>("sticky_sampling");
+    // Misra-Gries undercounts by <= m/(k+1) <= eps*m, so it thresholds at
+    // (phi - eps)*m to keep every true phi-heavy item.
+    RegisterCounterTable<MisraGries>(
+        "misra_gries", /*eps_slack=*/true, [](const SummaryOptions& o) {
+          return MisraGries(CountersFor(o.epsilon), KeyBits(o.universe_size));
+        });
+    // Space-Saving overcounts, so phi*m keeps every item above phi*m.
+    RegisterCounterTable<SpaceSaving>(
+        "space_saving", /*eps_slack=*/false, [](const SummaryOptions& o) {
+          return SpaceSaving(CountersFor(o.epsilon), KeyBits(o.universe_size));
+        });
+    // Lossy Counting's and Sticky Sampling's EntriesAbove already make up
+    // their <= eps*m undercount (each entry's recorded delta; count + eps*m
+    // >= threshold), so they threshold at phi*m: subtracting eps as well
+    // would report items as light as (phi - 2 eps)*m.
+    RegisterCounterTable<LossyCounting>(
+        "lossy_counting", /*eps_slack=*/false, [](const SummaryOptions& o) {
+          return LossyCounting(o.epsilon, KeyBits(o.universe_size));
+        });
+    RegisterCounterTable<StickySampling>(
+        "sticky_sampling", /*eps_slack=*/false, [](const SummaryOptions& o) {
+          return StickySampling(o.epsilon, o.phi, o.delta, o.seed,
+                                KeyBits(o.universe_size));
+        });
     RegisterAdapter<ExactCounterSummary>("exact");
     RegisterAdapter<CountMinSummary>("count_min");
     RegisterAdapter<CountSketchSummary>("count_sketch");

@@ -98,10 +98,10 @@ class Summary {
   /// hot paths unless the structure is a linear sketch.
   virtual void Update(uint64_t item, uint64_t weight = 1) = 0;
 
-  /// Processes a batch of unit-weight updates.  The default forwards to
-  /// Update; implementations may override with a tighter loop.
-  virtual void UpdateBatch(std::span<const uint64_t> items) {
-    for (const uint64_t x : items) Update(x, 1);
+  /// Processes a batch of unit-weight updates: the span spelling of
+  /// UpdateColumn, with the same contract.
+  void UpdateBatch(std::span<const uint64_t> items) {
+    UpdateColumn(items.data(), items.size());
   }
 
   /// Columnar ingest: `n` unit-weight updates from a contiguous column
@@ -110,10 +110,10 @@ class Summary {
   /// i = 0..n-1 in order; overrides may only reorder order-independent
   /// work such as hash precomputation (tests/columnar_differential_test.cc
   /// pins bit-for-bit snapshot equality against the scalar loop).  The
-  /// default forwards to UpdateBatch; hot adapters override with
-  /// slice-tuned loops (see docs/GROUPED.md#columnar-ingest).
+  /// default is that scalar loop; hot adapters override with slice-tuned
+  /// loops (see docs/GROUPED.md#columnar-ingest).
   virtual void UpdateColumn(const uint64_t* items, size_t n) {
-    UpdateBatch({items, n});
+    for (size_t i = 0; i < n; ++i) Update(items[i], 1);
   }
 
   /// Estimated frequency of `item` in full-stream units.  Whether this

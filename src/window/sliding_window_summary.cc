@@ -139,29 +139,6 @@ void SlidingWindowSummary::Update(uint64_t item, uint64_t weight) {
   }
 }
 
-void SlidingWindowSummary::UpdateBatch(std::span<const uint64_t> items) {
-  if (items.empty()) return;
-  InvalidateCache();
-  if (external_rotation_) {
-    LiveBucket().UpdateBatch(items);
-    total_items_ += items.size();
-    return;
-  }
-  size_t offset = 0;
-  while (offset < items.size()) {
-    const uint64_t fill = live_bucket_items();
-    if (fill >= bucket_width_) {
-      Rotate();
-      continue;
-    }
-    const size_t take = static_cast<size_t>(std::min<uint64_t>(
-        items.size() - offset, bucket_width_ - fill));
-    LiveBucket().UpdateBatch(items.subspan(offset, take));
-    total_items_ += take;
-    offset += take;
-  }
-}
-
 void SlidingWindowSummary::UpdateColumn(const uint64_t* items, size_t n) {
   if (n == 0) return;
   InvalidateCache();

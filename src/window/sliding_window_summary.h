@@ -85,9 +85,8 @@ class SlidingWindowSummary : public Summary {
   SummaryOptions Options() const override { return options_; }
 
   void Update(uint64_t item, uint64_t weight = 1) override;
-  void UpdateBatch(std::span<const uint64_t> items) override;
-  /// Same bucket-chunking as UpdateBatch, forwarding each chunk to the
-  /// live bucket's columnar path so the inner structure's slice-tuned
+  /// Chunks the slice at bucket boundaries and forwards each chunk to the
+  /// live bucket's columnar path, so the inner structure's slice-tuned
   /// loop runs even inside a window.
   void UpdateColumn(const uint64_t* items, size_t n) override;
 

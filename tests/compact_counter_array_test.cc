@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "count/saturating_counter.h"
 #include "util/random.h"
 
 namespace l1hh {
@@ -138,21 +137,6 @@ TEST(CompactCounterArrayTest, ResetClears) {
   a.Reset(8);
   EXPECT_EQ(a.Get(2), 0u);
   EXPECT_EQ(a.Total(), 0u);
-}
-
-TEST(SaturatingCounterTest, CapsAtThreshold) {
-  SaturatingCounter c(5);
-  for (int i = 0; i < 100; ++i) c.Increment();
-  EXPECT_EQ(c.value(), 5u);
-  EXPECT_TRUE(c.saturated());
-  EXPECT_EQ(c.SpaceBits(), 3);  // values in [0,5] fit in 3 bits
-}
-
-TEST(SaturatingCounterTest, ExactBelowCap) {
-  SaturatingCounter c(100);
-  for (int i = 0; i < 42; ++i) c.Increment();
-  EXPECT_EQ(c.value(), 42u);
-  EXPECT_FALSE(c.saturated());
 }
 
 }  // namespace

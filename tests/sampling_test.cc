@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <unordered_map>
 #include <vector>
 
 #include "sampling/coin_flip_sampler.h"
 #include "sampling/geometric_skip.h"
-#include "sampling/reservoir_sampler.h"
 
 namespace l1hh {
 namespace {
@@ -114,36 +112,6 @@ TEST(GeometricSkipTest, SerializeRoundTripPreservesSkip) {
   Rng rng_a(7), rng_b(7);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(s.Offer(rng_a), s2.Offer(rng_b));
-  }
-}
-
-TEST(ReservoirSamplerTest, HoldsAtMostCapacity) {
-  ReservoirSampler s(10, 8);
-  for (uint64_t i = 0; i < 1000; ++i) s.Offer(i);
-  EXPECT_EQ(s.sample().size(), 10u);
-  EXPECT_EQ(s.items_seen(), 1000u);
-}
-
-TEST(ReservoirSamplerTest, KeepsAllWhenUnderCapacity) {
-  ReservoirSampler s(100, 9);
-  for (uint64_t i = 0; i < 50; ++i) s.Offer(i);
-  EXPECT_EQ(s.sample().size(), 50u);
-}
-
-TEST(ReservoirSamplerTest, UniformInclusion) {
-  // Every item should appear with probability capacity/n.
-  const int trials = 2000;
-  const uint64_t n = 100;
-  const size_t capacity = 10;
-  std::unordered_map<uint64_t, int> inclusion;
-  for (int t = 0; t < trials; ++t) {
-    ReservoirSampler s(capacity, 1000 + t);
-    for (uint64_t i = 0; i < n; ++i) s.Offer(i);
-    for (const uint64_t v : s.sample()) ++inclusion[v];
-  }
-  const double expected = trials * static_cast<double>(capacity) / n;
-  for (uint64_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(inclusion[i], expected, 6 * std::sqrt(expected));
   }
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "hash/multiply_shift.h"
-#include "hash/tabulation_hash.h"
 #include "util/bit_stream.h"
 
 namespace l1hh {
@@ -131,25 +130,6 @@ TEST(MultiplyShiftTest, SerializeRoundTrip) {
   BitReader r(w);
   const MultiplyShiftHash h2 = MultiplyShiftHash::Deserialize(r);
   for (uint64_t x = 0; x < 200; ++x) EXPECT_EQ(h(x), h2(x));
-}
-
-TEST(TabulationHashTest, SignIsBalanced) {
-  Rng rng(10);
-  const TabulationHash h = TabulationHash::Draw(rng);
-  int sum = 0;
-  const int n = 100000;
-  for (int x = 0; x < n; ++x) sum += h.Sign(static_cast<uint64_t>(x));
-  EXPECT_NEAR(sum, 0, 6 * std::sqrt(n));
-}
-
-TEST(TabulationHashTest, AvalancheOnSingleBitFlips) {
-  Rng rng(11);
-  const TabulationHash h = TabulationHash::Draw(rng);
-  for (int bit = 0; bit < 64; ++bit) {
-    const uint64_t a = 0xabcdef0123456789ULL;
-    const uint64_t b = a ^ (uint64_t{1} << bit);
-    EXPECT_NE(h(a), h(b));
-  }
 }
 
 // Property sweep: collision rates near 1/range across ranges.

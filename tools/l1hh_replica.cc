@@ -1,82 +1,59 @@
 // l1hh_replica — warm standby for an l1hh_serve primary.
 //
 // Connects to a primary's Unix socket, performs an initial full sync
-// ("replicate"), then tails incremental frames ("sync" every
+// ("replicate"), then tails incremental rounds ("sync" every
 // --interval-ms): full snapshot containers for plain or heavily-rotated
 // shards, delta containers carrying only the changed window tail for
-// everything else.  Every frame is CRC-validated and clock-checked by
-// the snapshot layer before it touches replica state, so a torn or
-// reordered frame is a refused frame, never a silently wrong standby.
+// everything else (wire: src/serve/wire.h).  The replica IS a
+// ShardedEngine fed by frames: the first round builds it
+// (ShardedEngine::FromFrames) and every later round commits whole through
+// ShardedEngine::ApplyFrames, so a query never sees shards of two rounds,
+// and a torn, refused or cut-off round leaves the last committed one.
 //
-// The replica simultaneously serves queries on its OWN socket with the
-// same text protocol as the primary's read side — and keeps serving
-// after the primary dies (the failover story: answers reflect the last
-// completed sync, within the structures' eps guarantee of the primary's
-// final state, as tests/replication_test.cc and the CI smoke pin).
+// The replica serves the shared query verbs (src/serve/server.h) on its
+// OWN socket from that engine — and keeps serving after the primary dies
+// (the failover story: answers reflect the last completed sync, as
+// tests/replication_test.cc and the CI smoke pin).  Its own verb:
 //
-//   l1hh_replica --primary=/tmp/l1hh.sock --socket=/tmp/l1hh-replica.sock
-//       [--interval-ms=200] [--http=PORT] [--ready-lag=65536]
-//       [--slow-query-us=10000]
-//
-// Replica-side protocol (one request per line):
-//
-//   heavy [phi]         heavy-hitter report from the replicated state
-//   estimate <item>     point estimate
 //   stats               "stats items=<primary items at last sync>
 //                       shards=<K> syncs=<completed syncs>
 //                       primary=<up|lost> algo=<name> lag_items=<n>"
 //                       (lag_items = primary items at the last rsync
-//                       minus items applied to replica state, clamped at
-//                       0 — the warm-standby health signal)
-//   metrics             "metrics <N>" then N lines of Prometheus-style
-//                       text exposition from the telemetry registry
-//   trace [N [sev]]     "trace <K>" then the K most recent trace events
-//                       (N caps, sev in {debug,info,warn} filters)
-//   slow                "slow <N>" then the recent slow-query records
-//   quit                close this connection
-//   shutdown            replies "ok", stops the replica process
+//                       minus items applied here, clamped at 0)
 //
-// Observability: query verbs run under spans with the same phase
-// taxonomy as the primary's, and the post-sync re-merge cost is exported
-// as l1hh_replica_view_rebuild_seconds (the ROADMAP's "replica rebuild
-// is invisible" residue).  When the primary runs --audit-rate, each sync
-// round ships its exact shadow truth ("audit" header + key/count pairs);
-// the replica audits ITS merged view against that shadow at every
-// /metrics scrape, so a standby serving stale or corrupt answers is an
-// alert, not a surprise at failover.  --http=PORT mounts /metrics,
-// /healthz, and /readyz; readiness means at least one completed sync AND
-// lag_items <= --ready-lag, or the primary is lost (failover mode: the
-// last synced view is by definition the best answer available).
-#include <algorithm>
+//   l1hh_replica --primary=/tmp/l1hh.sock --socket=/tmp/l1hh-replica.sock
+//       [--interval-ms=200] [--phi=0.05] [--http=PORT] [--ready-lag=65536]
+//       [--slow-query-us=10000]
+//
+// Observability: a primary running --audit-rate ships its exact shadow
+// with every round; the replica installs it into an AccuracyAuditor and
+// audits its engine at every scrape, exactly as the primary audits its
+// own, so a standby serving stale or corrupt answers is an alert, not a
+// surprise at failover.  --http=PORT mounts /metrics, /healthz, and
+// /readyz; readiness means at least one completed sync AND lag_items <=
+// --ready-lag, or the primary is lost (failover mode).
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "io/snapshot.h"
+#include "engine/sharded_engine.h"
 #include "obs/audit.h"
-#include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "summary/summary.h"
+#include "serve/server.h"
+#include "serve/wire.h"
 #include "util/status.h"
 
 namespace {
@@ -147,351 +124,127 @@ bool Parse(int argc, char** argv, ReplicaArgs* out) {
   return true;
 }
 
-// ---- Socket helpers (same wire idioms as l1hh_serve.cc) ----------------
-
-bool WriteAll(int fd, const char* data, size_t n) {
-  size_t done = 0;
-  while (done < n) {
-    const ssize_t wrote = ::write(fd, data + done, n - done);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(wrote);
-  }
-  return true;
-}
-
-bool WriteLine(int fd, const std::string& line) {
-  return WriteAll(fd, (line + "\n").c_str(), line.size() + 1);
-}
-
-class LineReader {
- public:
-  explicit LineReader(int fd) : fd_(fd) {}
-
-  bool ReadLine(std::string* line) {
-    while (true) {
-      const size_t nl = buffer_.find('\n', pos_);
-      if (nl != std::string::npos) {
-        line->assign(buffer_, pos_, nl - pos_);
-        pos_ = nl + 1;
-        Compact();
-        return true;
-      }
-      if (!Fill()) return false;
-    }
-  }
-
-  bool ReadExact(char* out, size_t n) {
-    size_t got = 0;
-    const size_t buffered = std::min(n, buffer_.size() - pos_);
-    std::memcpy(out, buffer_.data() + pos_, buffered);
-    pos_ += buffered;
-    got += buffered;
-    Compact();
-    while (got < n) {
-      const ssize_t r = ::read(fd_, out + got, n - got);
-      if (r < 0 && errno == EINTR) continue;
-      if (r <= 0) return false;
-      got += static_cast<size_t>(r);
-    }
-    return true;
-  }
-
- private:
-  bool Fill() {
-    Compact();
-    char chunk[4096];
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) return true;
-    if (n <= 0) return false;
-    buffer_.append(chunk, static_cast<size_t>(n));
-    return true;
-  }
-
-  void Compact() {
-    if (pos_ == 0) return;
-    buffer_.erase(0, pos_);
-    pos_ = 0;
-  }
-
-  int fd_;
-  std::string buffer_;
-  size_t pos_ = 0;
-};
-
 // ---- Replicated state --------------------------------------------------
 
-// A frame above this is a protocol error, not a snapshot (same guard as
-// the primary's binary-batch bound).
-constexpr uint64_t kMaxFrameBytes = uint64_t{1} << 28;
-
 struct ReplicaState {
+  // Guards every field below except the `live` pointer and primary_up.
   std::mutex mutex;
-  // Shard summaries, rebuilt/advanced frame by frame.  Queries merge them
-  // on demand behind the usual epoch cache.
-  std::vector<std::unique_ptr<Summary>> shards;
-  std::string algorithm;
+  // The replica IS an engine: built from the first round, advanced by
+  // ApplyFrames one whole round at a time.  `live` publishes it to the
+  // query connections (null until the first round commits).
+  std::unique_ptr<ShardedEngine> engine;
+  std::atomic<ShardedEngine*> live{nullptr};
+  std::string algorithm;  // from the primary's rconf
+  size_t num_shards = 0;
   uint64_t items = 0;  // primary's applied count at the last completed sync
   uint64_t syncs = 0;  // completed replicate/sync rounds
   std::atomic<bool> primary_up{false};
-
-  std::unique_ptr<Summary> merged;
-  uint64_t merged_epoch = ~uint64_t{0};
-
-  // Shadow truth shipped by an auditing primary ("audit" lines in the
-  // sync stream): exact per-key counts for the primary's sampled key
-  // subspace, at the stream position audit_items.  Guarded by `mutex`.
-  bool audit_valid = false;
-  double audit_epsilon = 0.0;
-  double audit_phi = 0.0;
+  // The exact shadow an auditing primary ships with each round, installed
+  // into an auditor of its own so scrapes audit the engine like serve's.
+  std::unique_ptr<obs::AccuracyAuditor> auditor;
   uint64_t audit_items = 0;
-  std::vector<std::pair<uint64_t, uint64_t>> audit_shadow;
-
-  std::atomic<bool> stop{false};
-  int listen_fd = -1;
+  size_t audit_keys = 0;
 };
 
-ReplicaState* g_state = nullptr;
-
-void OnSignal(int) {
-  if (g_state != nullptr) {
-    g_state->stop.store(true, std::memory_order_relaxed);
-    const int fd = g_state->listen_fd;
-    if (fd >= 0) ::close(fd);
-  }
-}
-
-// Items applied to replica state (sum over shard summaries).  Caller
-// holds state.mutex.
-uint64_t ReplicaAppliedLocked(const ReplicaState& state) {
-  uint64_t applied = 0;
-  for (const auto& shard : state.shards) {
-    if (shard != nullptr) applied += shard->ItemsProcessed();
-  }
-  return applied;
-}
-
 // The warm-standby health signal: primary items at the last completed
-// rsync minus items applied here.  Frames land BEFORE the rsync that
-// commits their round, so applied can transiently exceed items — clamp
-// at 0 rather than reporting a bogus negative lag.  Caller holds
+// rsync minus items applied here, clamped at 0.  Caller holds
 // state.mutex.
 uint64_t LagItemsLocked(const ReplicaState& state) {
-  const uint64_t applied = ReplicaAppliedLocked(state);
+  const uint64_t applied =
+      state.engine == nullptr ? 0 : state.engine->ItemsProcessed();
   return state.items > applied ? state.items - applied : 0;
 }
 
-// The query view: the lone shard itself for K == 1 (supports
-// non-mergeable algorithms), otherwise an on-demand merge of all shards,
-// cached until the next completed sync.  Caller holds state.mutex.
-const Summary* QueryView(ReplicaState& state) {
-  if (state.shards.empty()) return nullptr;
-  // The handshake sizes the shard vector before the first round lands;
-  // until every slot has applied a full frame there is nothing to serve.
-  for (const auto& shard : state.shards) {
-    if (shard == nullptr) return nullptr;
-  }
-  if (state.shards.size() == 1) return state.shards[0].get();
-  if (state.merged != nullptr && state.merged_epoch == state.syncs) {
-    return state.merged.get();
-  }
-  // Post-sync re-merge: the cost every first query after a sync round
-  // pays.  Exported per ROADMAP — an operator sizing --interval-ms needs
-  // to see it, not infer it from latency spikes.
-  static obs::Histogram* const rebuild_hist =
-      obs::GetHistogram("l1hh_replica_view_rebuild_ns");
-  static obs::FloatGauge* const rebuild_seconds =
-      obs::GetFloatGauge("l1hh_replica_view_rebuild_seconds");
-  static obs::Counter* const rebuild_ctr =
-      obs::GetCounter("l1hh_replica_view_rebuilds_total");
-  obs::ScopedPhase phase("merge_rebuild");
-  const bool obs_on = obs::Enabled();
-  const uint64_t t0 = obs_on ? obs::TraceRing::NowNs() : 0;
-  Status status;
-  auto merged = MakeSummary(state.shards[0]->Name(),
-                            state.shards[0]->Options(), &status);
-  if (merged == nullptr) return nullptr;
-  for (const auto& shard : state.shards) {
-    if (!merged->Merge(*shard).ok()) return nullptr;
-  }
-  state.merged = std::move(merged);
-  state.merged_epoch = state.syncs;
-  if (obs_on) {
-    const uint64_t elapsed = obs::TraceRing::NowNs() - t0;
-    rebuild_hist->Observe(elapsed);
-    rebuild_seconds->Set(static_cast<double>(elapsed) * 1e-9);
-    rebuild_ctr->Inc();
-  }
-  return state.merged.get();
+// Ready to take over: synced at least once AND within --ready-lag of the
+// primary, or the primary is lost (the last synced view is then the best
+// answer that exists).  Publishes the 0/1 gauge behind /readyz so a plain
+// scrape can alert on readiness flapping.  Caller holds state.mutex.
+bool ReadyLocked(const ReplicaState& state, const ReplicaArgs& args) {
+  const bool ready =
+      state.syncs > 0 &&
+      (LagItemsLocked(state) <= args.ready_lag ||
+       !state.primary_up.load(std::memory_order_relaxed));
+  obs::GetGauge("l1hh_replica_ready")->Set(ready ? 1 : 0);
+  return ready;
 }
 
-// Audits the replica's merged view against the primary-shipped exact
-// shadow (no-op report when no auditing primary has synced).  Caller
-// holds state.mutex.  This is the failover insurance: a replica whose
-// frames decoded into a wrong view drifts its eps-ratio above 1 while
-// it is still a standby.
-obs::AuditReport AuditReplicaLocked(ReplicaState& state) {
-  obs::AuditReport report;
-  if (!state.audit_valid || state.audit_shadow.empty()) return report;
-  const Summary* view = QueryView(state);
-  if (view == nullptr) return report;
-  report.items_seen = state.audit_items;
-  report.shadow_keys = state.audit_shadow.size();
-  report.audited_keys = state.audit_shadow.size();
-  static obs::Histogram* const abs_error_hist =
-      obs::GetHistogram("l1hh_audit_observed_abs_error");
-  // The shadow is exact at audit_items; the replica's view is at
-  // ReplicaAppliedLocked() <= audit_items (frames land before the rsync
-  // that commits the shadow).  The residual lag is genuine staleness and
-  // is exactly what this audit should surface — no correction applied.
-  for (const auto& [key, count] : state.audit_shadow) {
-    const double err =
-        std::fabs(view->Estimate(key) - static_cast<double>(count));
-    report.max_abs_error = std::max(report.max_abs_error, err);
-    abs_error_hist->Observe(static_cast<uint64_t>(std::llround(err)));
+// Commits one complete round: its frames into the engine (built from the
+// first round), then the shipped shadow and the clocks.  A refused round
+// leaves all of them at the previous commit.
+Status CommitRound(ReplicaState& state, const serve::ReplicationRound& round) {
+  std::lock_guard<std::mutex> lock(state.mutex);
+  if (state.engine == nullptr) {
+    // Queries and the never-used rings need no more than this.
+    ShardedEngineOptions exec;
+    exec.num_threads = 1;
+    exec.queue_capacity = 64;
+    Status status;
+    state.engine = ShardedEngine::FromFrames(round.frames, state.num_shards,
+                                             exec, &status);
+    if (state.engine == nullptr) return status;
+    state.live.store(state.engine.get(), std::memory_order_release);
+  } else {
+    const Status applied = state.engine->ApplyFrames(round.frames);
+    if (!applied.ok()) return applied;
   }
-  const double denom =
-      state.audit_epsilon * static_cast<double>(state.audit_items);
-  report.eps_ratio = denom > 0 ? report.max_abs_error / denom : 0.0;
-  const double heavy_threshold =
-      state.audit_phi * static_cast<double>(state.audit_items);
-  std::vector<uint64_t> heavies;
-  for (const auto& [key, count] : state.audit_shadow) {
-    if (static_cast<double>(count) > heavy_threshold) heavies.push_back(key);
-  }
-  report.shadow_heavies = heavies.size();
-  if (!heavies.empty()) {
-    const std::vector<ItemEstimate> reported =
-        view->HeavyHitters(state.audit_phi);
-    std::unordered_set<uint64_t> reported_keys;
-    reported_keys.reserve(reported.size());
-    for (const ItemEstimate& hh : reported) reported_keys.insert(hh.item);
-    for (const uint64_t key : heavies) {
-      if (reported_keys.count(key) != 0) ++report.recalled;
+  if (round.audit.has_value()) {
+    const serve::AuditShadow& shadow = *round.audit;
+    const obs::AuditorOptions* current =
+        state.auditor == nullptr ? nullptr : &state.auditor->options();
+    if (current == nullptr || current->sample_rate != shadow.sample_rate ||
+        current->epsilon != shadow.epsilon || current->phi != shadow.phi) {
+      obs::AuditorOptions options;
+      options.sample_rate = shadow.sample_rate;
+      options.epsilon = shadow.epsilon;
+      options.phi = shadow.phi;
+      options.max_shadow_keys = serve::kMaxAuditKeys;
+      options.audit_top_k = 0;  // every shipped key is audited
+      state.auditor = std::make_unique<obs::AccuracyAuditor>(options);
     }
-    report.recall = static_cast<double>(report.recalled) /
-                    static_cast<double>(report.shadow_heavies);
+    state.auditor->InstallShadow(shadow.keys, shadow.items);
+    state.audit_items = shadow.items;
+    state.audit_keys = shadow.keys.size();
   }
-  obs::PublishAuditReport(report);
-  return report;
+  state.items = round.items;
+  ++state.syncs;
+  obs::GetCounter("l1hh_replica_sync_rounds_total")->Inc();
+  obs::GetGauge("l1hh_replica_lag_items")
+      ->Set(static_cast<int64_t>(LagItemsLocked(state)));
+  obs::Trace(obs::Severity::kDebug, "replica.sync",
+             static_cast<int64_t>(state.syncs),
+             static_cast<int64_t>(state.items));
+  return Status::Ok();
 }
 
 // ---- Replication client (primary-facing) -------------------------------
 
-// Reads frames off `reader` until the closing "rsync <items>", applying
-// each to the pending shard set; commits clocks only when the round
-// completes, so a half-received sync never shows up in queries.
-bool DrainSyncRound(ReplicaState& state, LineReader& reader,
-                    size_t expected_shards) {
-  std::string line;
-  std::vector<uint8_t> bytes;
-  while (reader.ReadLine(&line)) {
-    if (line.rfind("frame ", 0) == 0) {
-      char kind[8] = {0};
-      unsigned long long shard = 0;
-      unsigned long long nbytes = 0;
-      if (std::sscanf(line.c_str(), "frame %7s %llu %llu", kind, &shard,
-                      &nbytes) != 3 ||
-          shard >= expected_shards || nbytes > kMaxFrameBytes ||
-          (std::strcmp(kind, "full") != 0 &&
-           std::strcmp(kind, "delta") != 0)) {
-        std::fprintf(stderr, "replica: malformed frame header '%s'\n",
-                     line.c_str());
-        return false;
-      }
-      bytes.resize(static_cast<size_t>(nbytes));
-      if (!reader.ReadExact(reinterpret_cast<char*>(bytes.data()),
-                            bytes.size())) {
-        return false;
-      }
+// Reads one round whole, then commits it; false when the primary is gone
+// or sent something the replica refuses.
+bool SyncRound(ReplicaState& state, serve::LineReader& reader,
+               size_t num_shards) {
+  serve::ReplicationRound round;
+  Status status = serve::ReadRound(reader, num_shards, &round);
+  if (status.ok()) {
+    for (const ShardFrame& frame : round.frames) {
       obs::GetCounter("l1hh_replica_frames_total",
-                      std::strcmp(kind, "full") == 0 ? "kind=\"full\""
-                                                     : "kind=\"delta\"")
+                      frame.delta ? "kind=\"delta\"" : "kind=\"full\"")
           ->Inc();
-      std::lock_guard<std::mutex> lock(state.mutex);
-      if (std::strcmp(kind, "full") == 0) {
-        Status status;
-        auto summary = LoadSummary(bytes, &status);
-        if (summary == nullptr) {
-          std::fprintf(stderr, "replica: refused full frame for shard %llu: %s\n",
-                       shard, status.ToString().c_str());
-          return false;
-        }
-        state.shards[static_cast<size_t>(shard)] = std::move(summary);
-      } else {
-        Summary* target = state.shards[static_cast<size_t>(shard)].get();
-        if (target == nullptr) {
-          std::fprintf(stderr,
-                       "replica: delta frame for shard %llu before any "
-                       "full frame\n",
-                       shard);
-          return false;
-        }
-        const Status applied = ApplySummaryDelta(bytes, target);
-        if (!applied.ok()) {
-          std::fprintf(stderr, "replica: refused delta frame for shard %llu: %s\n",
-                       shard, applied.ToString().c_str());
-          return false;
-        }
-      }
-      continue;
     }
-    if (line.rfind("audit ", 0) == 0) {
-      // Shadow truth from an auditing primary: header + nkeys pair lines
-      // (docs/OBSERVABILITY.md#the-live-accuracy-auditor).
-      unsigned long long rate = 0, m = 0, nkeys = 0;
-      double eps = 0.0, phi = 0.0;
-      if (std::sscanf(line.c_str(), "audit %llu %lg %lg %llu %llu", &rate,
-                      &eps, &phi, &m, &nkeys) != 5 ||
-          nkeys > (1u << 20)) {
-        std::fprintf(stderr, "replica: malformed audit header '%s'\n",
-                     line.c_str());
-        return false;
-      }
-      std::vector<std::pair<uint64_t, uint64_t>> shadow;
-      shadow.reserve(static_cast<size_t>(nkeys));
-      for (unsigned long long i = 0; i < nkeys; ++i) {
-        unsigned long long key = 0, count = 0;
-        if (!reader.ReadLine(&line) ||
-            std::sscanf(line.c_str(), "%llu %llu", &key, &count) != 2) {
-          std::fprintf(stderr, "replica: torn audit shadow\n");
-          return false;
-        }
-        shadow.emplace_back(key, count);
-      }
-      std::lock_guard<std::mutex> lock(state.mutex);
-      state.audit_valid = true;
-      state.audit_epsilon = eps;
-      state.audit_phi = phi;
-      state.audit_items = m;
-      state.audit_shadow = std::move(shadow);
-      continue;
-    }
-    if (line.rfind("rsync ", 0) == 0) {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      state.items = std::strtoull(line.c_str() + 6, nullptr, 10);
-      ++state.syncs;
-      obs::GetCounter("l1hh_replica_sync_rounds_total")->Inc();
-      obs::GetGauge("l1hh_replica_lag_items")
-          ->Set(static_cast<int64_t>(LagItemsLocked(state)));
-      obs::Trace(obs::Severity::kDebug, "replica.sync",
-                 static_cast<int64_t>(state.syncs),
-                 static_cast<int64_t>(state.items));
-      return true;
-    }
-    std::fprintf(stderr, "replica: unexpected line from primary: '%s'\n",
-                 line.c_str());
-    return false;
+    status = CommitRound(state, round);
   }
-  return false;  // primary closed mid-round; nothing was committed
+  // A stream that ends mid-round is the primary going away, not news.
+  if (!status.ok() && !status.IsIOError()) {
+    std::fprintf(stderr, "replica: refused round: %s\n",
+                 status.ToString().c_str());
+  }
+  return status.ok();
 }
 
 // Connects, full-syncs, then tails incremental syncs until the primary
 // dies or the replica is told to stop.  Leaves the last completed sync
 // in `state` either way — failover keeps serving it.
-void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args) {
+void ReplicationLoop(ReplicaState& state, const serve::Server& server,
+                     const ReplicaArgs& args) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) {
     std::perror("replica: socket");
@@ -506,7 +259,7 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args) {
   int rc = -1;
   for (int attempt = 0; attempt < 200; ++attempt) {
     rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-    if (rc == 0 || state.stop.load(std::memory_order_relaxed)) break;
+    if (rc == 0 || server.stopping()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   if (rc != 0) {
@@ -516,30 +269,28 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args) {
     return;
   }
 
-  LineReader reader(fd);
+  serve::LineReader reader(fd);
   std::string line;
-  if (!WriteLine(fd, "replicate") || !reader.ReadLine(&line) ||
-      line.rfind("rconf ", 0) != 0) {
+  size_t shards = 0;
+  std::string algo;
+  if (!serve::WriteLine(fd, "replicate") || !reader.ReadLine(&line)) {
     std::fprintf(stderr, "replica: bad replicate handshake ('%s')\n",
                  line.c_str());
     ::close(fd);
     return;
   }
-  unsigned long long shards = 0;
-  char algo[128] = {0};
-  if (std::sscanf(line.c_str(), "rconf shards=%llu algo=%127s", &shards,
-                  algo) != 2 ||
-      shards == 0 || shards > (1u << 16)) {
-    std::fprintf(stderr, "replica: malformed rconf '%s'\n", line.c_str());
+  const Status rconf = serve::ParseRconf(line, &shards, &algo);
+  if (!rconf.ok()) {
+    std::fprintf(stderr, "replica: %s\n", rconf.ToString().c_str());
     ::close(fd);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(state.mutex);
-    state.shards.resize(static_cast<size_t>(shards));
+    state.num_shards = shards;
     state.algorithm = algo;
   }
-  if (!DrainSyncRound(state, reader, static_cast<size_t>(shards))) {
+  if (!SyncRound(state, reader, shards)) {
     ::close(fd);
     return;
   }
@@ -548,14 +299,13 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args) {
   obs::GetCounter("l1hh_replica_primary_transitions_total")->Inc();
   obs::Trace(obs::Severity::kInfo, "replica.primary_up",
              static_cast<int64_t>(shards));
-  std::printf("synced %s shards=%llu\n", algo, shards);
+  std::printf("synced %s shards=%zu\n", algo.c_str(), shards);
   std::fflush(stdout);
 
-  while (!state.stop.load(std::memory_order_relaxed)) {
+  while (!server.stopping()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(args.interval_ms));
-    if (state.stop.load(std::memory_order_relaxed)) break;
-    if (!WriteLine(fd, "sync") ||
-        !DrainSyncRound(state, reader, static_cast<size_t>(shards))) {
+    if (server.stopping()) break;
+    if (!serve::WriteLine(fd, "sync") || !SyncRound(state, reader, shards)) {
       break;  // primary gone: stop syncing, keep serving (failover)
     }
   }
@@ -568,314 +318,83 @@ void ReplicationLoop(ReplicaState& state, const ReplicaArgs& args) {
 
 // ---- Query server (client-facing) --------------------------------------
 
-void HandleQueryConnection(ReplicaState* state, const ReplicaArgs* args,
+void HandleQueryConnection(serve::Server& server, ReplicaState& state,
                            int fd) {
-  LineReader reader(fd);
+  serve::LineReader reader(fd);
   std::string line;
-  while (reader.ReadLine(&line)) {
-    if (line.empty()) continue;
-    if (line == "heavy" || line.rfind("heavy ", 0) == 0) {
-      double phi = args->default_phi;
-      if (line.size() > 6) {
-        phi = std::atof(line.c_str() + 6);
-        if (phi <= 0) {
-          WriteLine(fd, "err phi must be > 0");
-          continue;
-        }
-      }
-      obs::QuerySpan span("heavy");
-      std::string reply;
-      {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        const Summary* view = QueryView(*state);
-        if (view == nullptr) {
-          WriteLine(fd, "err replica has no synced state yet");
-          continue;
-        }
-        std::vector<ItemEstimate> report;
-        {
-          obs::ScopedPhase report_phase("report");
-          report = view->HeavyHitters(phi);
-        }
-        reply = "hh " + std::to_string(report.size());
-        char entry[64];
-        for (const ItemEstimate& hh : report) {
-          std::snprintf(entry, sizeof(entry), "\n%llu %.17g",
-                        static_cast<unsigned long long>(hh.item),
-                        hh.estimate);
-          reply += entry;
-        }
-      }
-      {
-        obs::ScopedPhase write_phase("reply_write");
-        WriteLine(fd, reply);
-      }
-      continue;
-    }
-    if (line.rfind("estimate ", 0) == 0) {
-      char* end = nullptr;
-      const unsigned long long item = std::strtoull(line.c_str() + 9, &end, 10);
-      if (end == line.c_str() + 9) {
-        WriteLine(fd, "err malformed item id in '" + line + "'");
-        continue;
-      }
-      obs::QuerySpan span("estimate");
-      char reply[64];
-      {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        const Summary* view = QueryView(*state);
-        if (view == nullptr) {
-          WriteLine(fd, "err replica has no synced state yet");
-          continue;
-        }
-        obs::ScopedPhase report_phase("report");
-        std::snprintf(reply, sizeof(reply), "est %llu %.17g", item,
-                      view->Estimate(static_cast<uint64_t>(item)));
-      }
-      {
-        obs::ScopedPhase write_phase("reply_write");
-        WriteLine(fd, reply);
-      }
-      continue;
-    }
+  while (server.NextRequest(reader, fd, &line)) {
     if (line == "stats") {
       obs::QuerySpan span("stats");
       std::string reply;
-      {
-        std::lock_guard<std::mutex> lock(state->mutex);
-        const uint64_t lag = LagItemsLocked(*state);
-        obs::GetGauge("l1hh_replica_lag_items")
-            ->Set(static_cast<int64_t>(lag));
-        reply = "stats items=" + std::to_string(state->items) +
-                " shards=" + std::to_string(state->shards.size()) +
-                " syncs=" + std::to_string(state->syncs) + " primary=" +
-                (state->primary_up.load(std::memory_order_relaxed)
-                     ? "up"
-                     : "lost") +
-                " algo=" + state->algorithm +
-                " lag_items=" + std::to_string(lag);
-      }
-      {
-        obs::ScopedPhase write_phase("reply_write");
-        WriteLine(fd, reply);
-      }
-      continue;
-    }
-    if (line == "metrics") {
-      {
-        // Scrape-time work, same as the primary: publish point-in-time
-        // gauges, audit the view when an auditing primary shipped truth.
-        std::lock_guard<std::mutex> lock(state->mutex);
-        obs::GetGauge("l1hh_replica_lag_items")
-            ->Set(static_cast<int64_t>(LagItemsLocked(*state)));
-        AuditReplicaLocked(*state);
-      }
-      const std::vector<std::string> lines =
-          obs::Registry::Get().ExpositionLines();
-      std::string reply = "metrics " + std::to_string(lines.size());
-      for (const std::string& metric_line : lines) {
-        reply += "\n" + metric_line;
-      }
-      WriteLine(fd, reply);
-      continue;
-    }
-    if (line == "trace" || line.rfind("trace ", 0) == 0) {
-      uint64_t max_events = 0;
-      obs::Severity min_sev = obs::Severity::kDebug;
-      bool args_ok = true;
-      if (line.size() > 5) {
-        std::istringstream in(line.substr(6));
-        std::string count_text, sev_text, extra;
-        in >> count_text >> sev_text >> extra;
-        if (!count_text.empty()) {
-          char* end = nullptr;
-          max_events = std::strtoull(count_text.c_str(), &end, 10);
-          if (end == count_text.c_str() || *end != '\0') args_ok = false;
-        }
-        if (args_ok && !sev_text.empty() &&
-            !obs::ParseSeverity(sev_text, &min_sev)) {
-          args_ok = false;
-        }
-        if (!extra.empty()) args_ok = false;
-      }
-      if (!args_ok) {
-        WriteLine(fd, "err usage: trace [N [debug|info|warn]]");
-        continue;
-      }
-      const std::vector<std::string> lines = obs::TraceRing::Get().DrainText(
-          static_cast<size_t>(max_events), min_sev);
-      std::string reply = "trace " + std::to_string(lines.size());
-      for (const std::string& event_line : lines) {
-        reply += "\n" + event_line;
-      }
-      WriteLine(fd, reply);
-      continue;
-    }
-    if (line == "slow") {
-      const std::vector<std::string> lines =
-          obs::SlowQueryRing::Get().DrainText();
-      std::string reply = "slow " + std::to_string(lines.size());
-      for (const std::string& slow_line : lines) {
-        reply += "\n" + slow_line;
-      }
-      WriteLine(fd, reply);
-      continue;
-    }
-    if (line == "quit") break;
-    if (line == "shutdown") {
-      WriteLine(fd, "ok");
-      state->stop.store(true, std::memory_order_relaxed);
-      ::shutdown(state->listen_fd, SHUT_RDWR);
-      break;
-    }
-    WriteLine(fd, "err unknown request '" + line + "'");
-  }
-}
-
-int RunReplica(const ReplicaArgs& args) {
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd < 0) {
-    std::perror("socket");
-    return 2;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (args.socket_path.size() >= sizeof(addr.sun_path)) {
-    std::fprintf(stderr, "--socket path too long (max %zu bytes)\n",
-                 sizeof(addr.sun_path) - 1);
-    return 2;
-  }
-  std::strncpy(addr.sun_path, args.socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  ::unlink(args.socket_path.c_str());
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    std::perror("bind");
-    return 2;
-  }
-  if (::listen(listen_fd, 64) != 0) {
-    std::perror("listen");
-    return 2;
-  }
-
-  ReplicaState state;
-  state.listen_fd = listen_fd;
-  g_state = &state;
-  std::signal(SIGPIPE, SIG_IGN);
-  std::signal(SIGINT, OnSignal);
-  std::signal(SIGTERM, OnSignal);
-
-  obs::EmitBuildInfo("l1hh_replica", "replica");
-  obs::SetSlowQueryThresholdNs(args.slow_query_us * 1000);
-
-  // HTTP telemetry surface.  Readiness is the standby-specific call:
-  // green only when this replica could take over right now — synced at
-  // least once AND within --ready-lag of the primary, or the primary is
-  // lost (the last synced view is then the best answer that exists).
-  std::unique_ptr<obs::HttpExporter> exporter;
-  if (args.http_enabled) {
-    obs::HttpExporterOptions http_options;
-    http_options.port = static_cast<uint16_t>(args.http_port);
-    std::map<std::string, obs::HttpExporter::Handler> handlers;
-    handlers["/metrics"] = [&state, &args] {
       {
         std::lock_guard<std::mutex> lock(state.mutex);
         const uint64_t lag = LagItemsLocked(state);
         obs::GetGauge("l1hh_replica_lag_items")
             ->Set(static_cast<int64_t>(lag));
-        // The 0/1 readiness gauge behind /readyz, so a plain /metrics
-        // scrape can alert on readiness flapping without a prober.
-        const bool ready =
-            state.syncs > 0 &&
-            (lag <= args.ready_lag ||
-             !state.primary_up.load(std::memory_order_relaxed));
-        obs::GetGauge("l1hh_replica_ready")->Set(ready ? 1 : 0);
-        AuditReplicaLocked(state);
+        reply = "stats items=" + std::to_string(state.items) +
+                " shards=" + std::to_string(state.num_shards) +
+                " syncs=" + std::to_string(state.syncs) + " primary=" +
+                (state.primary_up.load(std::memory_order_relaxed) ? "up"
+                                                                  : "lost") +
+                " algo=" + state.algorithm +
+                " lag_items=" + std::to_string(lag);
       }
-      const std::vector<std::string> lines =
-          obs::Registry::Get().ExpositionLines();
-      std::string body;
-      for (const std::string& metric_line : lines) {
-        body += metric_line;
-        body += '\n';
-      }
-      return obs::HttpResponse{200, "text/plain; version=0.0.4", body};
-    };
-    handlers["/healthz"] = [] {
-      return obs::HttpResponse{200, "text/plain; charset=utf-8", "ok\n"};
-    };
-    handlers["/readyz"] = [&state, &args] {
-      uint64_t syncs = 0, lag = 0;
-      {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        syncs = state.syncs;
-        lag = LagItemsLocked(state);
-      }
-      const bool primary_up =
-          state.primary_up.load(std::memory_order_relaxed);
-      const bool ready =
-          syncs > 0 && (lag <= args.ready_lag || !primary_up);
-      obs::GetGauge("l1hh_replica_ready")->Set(ready ? 1 : 0);
-      const std::string body =
-          (ready ? "ok" : "not ready") + std::string(" syncs=") +
-          std::to_string(syncs) + " lag_items=" + std::to_string(lag) +
-          " primary=" + (primary_up ? "up" : "lost") + "\n";
-      return obs::HttpResponse{ready ? 200 : 503,
-                               "text/plain; charset=utf-8", body};
-    };
-    Status http_status;
-    exporter = obs::HttpExporter::Create(http_options, std::move(handlers),
-                                         &http_status);
-    if (exporter == nullptr) {
-      std::fprintf(stderr, "cannot start http exporter: %s\n",
-                   http_status.ToString().c_str());
-      return 2;
+      obs::ScopedPhase write_phase("reply_write");
+      serve::WriteLine(fd, reply);
+      continue;
     }
+    if (!server.QueryVerb(line, fd)) break;
   }
+}
 
-  // The readiness line tests wait for (before the first sync completes;
-  // queries until then answer "err replica has no synced state yet").
-  std::printf("listening %s\n", args.socket_path.c_str());
-  if (exporter != nullptr) {
-    std::printf("http %u\n", static_cast<unsigned>(exporter->port()));
-  }
-  std::fflush(stdout);
+int RunReplica(const ReplicaArgs& args) {
+  ReplicaState state;
+  serve::Server::Hooks hooks;
+  hooks.engine = [&state] {
+    return state.live.load(std::memory_order_acquire);
+  };
+  hooks.before_scrape = [&state, &args] {
+    // Scrape-time work: publish point-in-time gauges, and audit the
+    // engine when an auditing primary shipped truth.  The shadow is exact
+    // at audit_items; any lag behind it is genuine staleness and is
+    // exactly what this audit should surface.
+    std::lock_guard<std::mutex> lock(state.mutex);
+    obs::GetGauge("l1hh_replica_lag_items")
+        ->Set(static_cast<int64_t>(LagItemsLocked(state)));
+    ReadyLocked(state, args);
+    if (state.auditor != nullptr && state.audit_keys != 0 &&
+        state.engine != nullptr) {
+      serve::AuditEngine(*state.auditor, *state.engine, state.audit_items);
+    }
+  };
+  hooks.readyz = [&state, &args] {
+    std::lock_guard<std::mutex> lock(state.mutex);
+    const bool ready = ReadyLocked(state, args);
+    std::string body = ready ? "ok" : "not ready";
+    body += " syncs=" + std::to_string(state.syncs) +
+            " lag_items=" + std::to_string(LagItemsLocked(state)) +
+            " primary=" +
+            (state.primary_up.load(std::memory_order_relaxed) ? "up" : "lost") +
+            "\n";
+    return obs::HttpResponse{ready ? 200 : 503, "text/plain; charset=utf-8",
+                             body};
+  };
+  auto server = serve::Server::Start(
+      {args.socket_path, args.default_phi, args.http_enabled,
+       static_cast<uint16_t>(args.http_port)},
+      std::move(hooks));
+  if (server == nullptr) return 2;
+  obs::EmitBuildInfo("l1hh_replica", "replica");
+  obs::SetSlowQueryThresholdNs(args.slow_query_us * 1000);
 
+  server->Announce();
   std::thread replication(
-      [&state, &args] { ReplicationLoop(state, args); });
-
-  std::vector<std::thread> connections;
-  std::vector<int> conn_fds;
-  std::mutex conn_mutex;
-  while (!state.stop.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    {
-      std::lock_guard<std::mutex> lock(conn_mutex);
-      conn_fds.push_back(fd);
-    }
-    connections.emplace_back(
-        [&state, &args, fd] { HandleQueryConnection(&state, &args, fd); });
-  }
-
-  state.stop.store(true, std::memory_order_relaxed);
-  // The exporter's handlers read `state`; stop it before teardown.
-  if (exporter != nullptr) exporter->Stop();
+      [&state, &server, &args] { ReplicationLoop(state, *server, args); });
+  server->Run([&server, &state](int fd) {
+    HandleQueryConnection(*server, state, fd);
+  });
   replication.join();
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex);
-    for (const int fd : conn_fds) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (auto& thread : connections) thread.join();
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex);
-    for (const int fd : conn_fds) ::close(fd);
-  }
-  ::close(listen_fd);
-  ::unlink(args.socket_path.c_str());
+  server.reset();
   std::printf("replicated %llu items over %llu syncs\n",
               static_cast<unsigned long long>(state.items),
               static_cast<unsigned long long>(state.syncs));

@@ -28,82 +28,55 @@
 //     "http <port>" after the readiness line) serves GET /metrics
 //     (Prometheus text exposition), /healthz, and /readyz on loopback.
 //
-// Wire protocol, one request per line (replies are lines too):
+// Wire protocol, one request per line (replies are lines too).  The
+// query verbs heavy / estimate / metrics / trace / slow / quit / shutdown
+// are the shared serving core's (src/serve/server.h); this binary adds
 //
 //   <digits>            ingest one item id (no reply — the fast path)
 //   bin <N>             ingest a binary batch: N little-endian u64 ids
 //                       follow the newline (no reply)
 //   flush               wait until everything this server has accepted
 //                       is applied; replies "ok <items_applied>"
-//   heavy [phi]         heavy-hitter report; replies "hh <count>" then
-//                       one "<item> <estimate>" line per hitter
-//   estimate <item>     point estimate; replies "est <item> <value>"
 //   stats               replies "stats items=.. shards=.. threads=..
 //                       producers=.. algo=.. slots=<active>/<total>
 //                       slot<p>=<enqueued>..." (one slot<p> field per
 //                       producer slot, slot 0 being the engine's own)
-//   metrics             replies "metrics <N>" then N lines of
-//                       Prometheus-style text exposition
-//                       (name{label="v"} value) from the process-wide
-//                       telemetry registry (docs/OBSERVABILITY.md)
-//   trace [N [sev]]     replies "trace <K>" then the K most recent
-//                       lifecycle events from the trace ring; N caps the
-//                       count (0 = all), sev in {debug,info,warn} drops
-//                       events below that severity
-//   slow                replies "slow <N>" then the N most recent
-//                       slow-query records (per-phase breakdowns)
 //   replicate           start (or restart) replication on this
-//                       connection: replies "rconf shards=<K> algo=<A>",
-//                       then one full frame per shard, then
-//                       "rsync <items>"
+//                       connection: "rconf shards=<K> algo=<A>", one full
+//                       frame per shard, then "rsync <items>"
 //   sync                incremental replication step: one frame per
 //                       shard that changed since this connection's last
-//                       replicate/sync (delta frames for windowed
-//                       shards whose tail still fits the ring, full
-//                       frames otherwise; clean shards send nothing),
-//                       then "rsync <items>"
-//   quit                close this connection
-//   shutdown            replies "ok", stops the server process
+//                       replicate/sync (delta frames for windowed shards
+//                       whose tail still fits the ring, full frames
+//                       otherwise; clean shards send nothing), then
+//                       "rsync <items>"
 //
-// A frame is "frame <full|delta> <shard> <nbytes>\n" followed by exactly
-// nbytes of raw snapshot ("L1HHSNAP") or delta ("L1HHDELT") container
-// bytes (src/io/snapshot.h) — self-describing and CRC-sealed, so the
-// follower (tools/l1hh_replica.cc) validates each frame before applying
-// it.  Replication baselines are per-connection: a reconnecting follower
-// just sends "replicate" again and gets a fresh full sync.
+// The replication wire is src/serve/wire.h's; frames are CRC-sealed
+// snapshot or delta containers, so the follower (tools/l1hh_replica.cc)
+// validates each before committing its round.  Replication baselines are
+// per-connection: a reconnecting follower just sends "replicate" again
+// and gets a fresh full sync.
 //
-// Anything else gets "err <reason>".  A connection that only queries
-// never claims a producer slot; when all --producers slots are taken,
-// ingest lines on additional connections get "err" but queries still
-// work.  The final item count is printed on stdout at exit.
-#include <algorithm>
-#include <atomic>
-#include <bit>
-#include <cerrno>
+// A connection that only queries never claims a producer slot; when all
+// --producers slots are taken, ingest lines on additional connections
+// get "err" but queries still work.  The final item count is printed on
+// stdout at exit.
 #include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include "engine/sharded_engine.h"
 #include "obs/audit.h"
-#include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/trace.h"
+#include "serve/server.h"
+#include "serve/wire.h"
 #include "summary/summary.h"
 #include "util/status.h"
 
@@ -232,140 +205,27 @@ bool Parse(int argc, char** argv, ServeArgs* out) {
   return true;
 }
 
-// ---- Socket helpers ---------------------------------------------------
-
-bool WriteAll(int fd, const char* data, size_t n) {
-  size_t done = 0;
-  while (done < n) {
-    const ssize_t wrote = ::write(fd, data + done, n - done);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(wrote);
-  }
-  return true;
-}
-
-bool WriteLine(int fd, const std::string& line) {
-  return WriteAll(fd, (line + "\n").c_str(), line.size() + 1);
-}
-
-// Buffered reader that supports both newline framing (text requests)
-// and exact-length reads (the `bin N` payload).
-class LineReader {
- public:
-  explicit LineReader(int fd) : fd_(fd) {}
-
-  // Strips the trailing newline; false on EOF or error.
-  bool ReadLine(std::string* line) {
-    while (true) {
-      const size_t nl = buffer_.find('\n', pos_);
-      if (nl != std::string::npos) {
-        line->assign(buffer_, pos_, nl - pos_);
-        pos_ = nl + 1;
-        Compact();
-        return true;
-      }
-      if (!Fill()) return false;
-    }
-  }
-
-  bool ReadExact(char* out, size_t n) {
-    size_t got = 0;
-    const size_t buffered = std::min(n, buffer_.size() - pos_);
-    std::memcpy(out, buffer_.data() + pos_, buffered);
-    pos_ += buffered;
-    got += buffered;
-    Compact();
-    while (got < n) {
-      const ssize_t r = ::read(fd_, out + got, n - got);
-      if (r < 0 && errno == EINTR) continue;
-      if (r <= 0) return false;
-      got += static_cast<size_t>(r);
-    }
-    return true;
-  }
-
- private:
-  bool Fill() {
-    Compact();
-    char chunk[4096];
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) return true;
-    if (n <= 0) return false;
-    buffer_.append(chunk, static_cast<size_t>(n));
-    return true;
-  }
-
-  void Compact() {
-    if (pos_ == 0) return;
-    buffer_.erase(0, pos_);
-    pos_ = 0;
-  }
-
-  int fd_;
-  std::string buffer_;
-  size_t pos_ = 0;
-};
-
 // ---- Server -----------------------------------------------------------
 
-// A binary batch above this is a protocol error, not a workload (guards
-// a garbage length from allocating the machine away).
-constexpr uint64_t kMaxBinaryBatch = uint64_t{1} << 26;
-
-struct Server {
+struct ServeState {
   ShardedEngine* engine = nullptr;
   obs::AccuracyAuditor* auditor = nullptr;  // null = auditing off
-  double default_phi = 0.05;
-  std::atomic<bool> stop{false};
-  int listen_fd = -1;
-  std::mutex conn_mutex;
-  std::vector<int> conn_fds;
 };
 
 // One audit pass against the live engine: flush so the shadow and the
 // engine agree on the stream prefix, then compare.  Caller guarantees
-// server->auditor != nullptr.
-obs::AuditReport RunAudit(Server* server) {
-  ShardedEngine& engine = *server->engine;
-  engine.Flush();
-  const uint64_t total = engine.ItemsProcessed();
-  return server->auditor->Audit(
-      [&engine](const std::vector<uint64_t>& keys) {
-        return engine.EstimateBatch(keys);
-      },
-      [&engine](double phi) { return engine.HeavyHitters(phi); }, total);
-}
-
-Server* g_server = nullptr;
-
-void OnSignal(int) {
-  // Async-signal-safe shutdown: flag + close the listener so the accept
-  // loop wakes; the loop does the orderly teardown.
-  if (g_server != nullptr) {
-    g_server->stop.store(true, std::memory_order_relaxed);
-    const int fd = g_server->listen_fd;
-    if (fd >= 0) ::close(fd);
-  }
-}
-
-bool ParseU64(const char* text, uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || errno == ERANGE) return false;
-  while (*end == ' ') ++end;
-  if (*end != '\0') return false;
-  *out = static_cast<uint64_t>(value);
-  return true;
+// state.auditor != nullptr.
+void RunAudit(const ServeState& state) {
+  state.engine->Flush();
+  serve::AuditEngine(*state.auditor, *state.engine,
+                     state.engine->ItemsProcessed());
 }
 
 // One thread per connection.  The producer slot is claimed lazily on the
 // first ingest request, so query-only clients (dashboards) never consume
 // one, and released when the connection closes.
-void HandleConnection(Server* server, int fd) {
+void HandleConnection(serve::Server& server, const ServeState& state,
+                      int fd) {
   static obs::Counter* const connections_ctr =
       obs::GetCounter("l1hh_serve_connections_total");
   static obs::Gauge* const active_conns =
@@ -378,9 +238,9 @@ void HandleConnection(Server* server, int fd) {
       obs::GetCounter("l1hh_serve_queries_total");
   connections_ctr->Inc();
   active_conns->Add(1);
-  LineReader reader(fd);
+  serve::LineReader reader(fd);
   std::unique_ptr<ShardedEngine::Producer> producer;
-  ShardedEngine& engine = *server->engine;
+  ShardedEngine& engine = *state.engine;
   std::string line;
   std::vector<uint64_t> batch;
   // Per-connection replication baselines: what the follower on the other
@@ -391,18 +251,17 @@ void HandleConnection(Server* server, int fd) {
     Status status;
     producer = engine.RegisterProducer(&status);
     if (producer == nullptr) {
-      WriteLine(fd, "err " + status.ToString());
+      serve::WriteLine(fd, "err " + status.ToString());
       return false;
     }
     return true;
   };
-  while (reader.ReadLine(&line)) {
-    if (line.empty()) continue;
+  while (server.NextRequest(reader, fd, &line)) {
     if (line[0] >= '0' && line[0] <= '9') {
       uint64_t item = 0;
-      if (!ParseU64(line.c_str(), &item)) {
+      if (!serve::ParseU64(line.c_str(), &item)) {
         ingest_err_ctr->Inc();
-        WriteLine(fd, "err malformed item id '" + line + "'");
+        serve::WriteLine(fd, "err malformed item id '" + line + "'");
         continue;
       }
       if (!ensure_producer()) {
@@ -410,34 +269,26 @@ void HandleConnection(Server* server, int fd) {
         continue;
       }
       producer->Update(item);
-      if (server->auditor != nullptr) server->auditor->Observe(item);
+      if (state.auditor != nullptr) state.auditor->Observe(item);
       ingest_ctr->Inc();
       continue;
     }
     if (line.rfind("bin ", 0) == 0) {
       uint64_t count = 0;
-      if (!ParseU64(line.c_str() + 4, &count) || count > kMaxBinaryBatch) {
+      if (!serve::ParseBinHeader(line, &count)) {
         ingest_err_ctr->Inc();
-        WriteLine(fd, "err malformed binary batch header '" + line + "'");
+        serve::WriteLine(fd, "err malformed binary batch header '" + line +
+                                 "'");
         break;  // the payload length is unknown; the stream is desynced
       }
-      batch.resize(static_cast<size_t>(count));
-      if (!reader.ReadExact(reinterpret_cast<char*>(batch.data()),
-                            static_cast<size_t>(count) * sizeof(uint64_t))) {
-        break;
-      }
-      // The wire format is little-endian u64; byte-swap on a big-endian
-      // host so snapshots of the served stream stay portable.
-      if constexpr (std::endian::native == std::endian::big) {
-        for (uint64_t& item : batch) item = __builtin_bswap64(item);
-      }
+      if (!serve::ReadBinPayload(reader, count, &batch)) break;
       if (!ensure_producer()) {
         ingest_err_ctr->Inc();
         continue;
       }
       producer->UpdateBatch(batch);
-      if (server->auditor != nullptr) {
-        server->auditor->ObserveColumn(batch.data(), batch.size());
+      if (state.auditor != nullptr) {
+        state.auditor->ObserveColumn(batch.data(), batch.size());
       }
       ingest_ctr->Inc(count);
       continue;
@@ -445,52 +296,7 @@ void HandleConnection(Server* server, int fd) {
     if (line == "flush") {
       queries_ctr->Inc();
       engine.Flush();
-      WriteLine(fd, "ok " + std::to_string(engine.ItemsProcessed()));
-      continue;
-    }
-    if (line == "heavy" || line.rfind("heavy ", 0) == 0) {
-      queries_ctr->Inc();
-      double phi = server->default_phi;
-      if (line.size() > 6) {
-        phi = std::atof(line.c_str() + 6);
-        if (phi <= 0) {
-          WriteLine(fd, "err phi must be > 0");
-          continue;
-        }
-      }
-      // The span owns the whole verb: the engine's park-wait /
-      // merge-rebuild / report phases land on it, reply_write is ours.
-      obs::QuerySpan span("heavy");
-      const std::vector<ItemEstimate> report = engine.HeavyHitters(phi);
-      std::string reply = "hh " + std::to_string(report.size());
-      char entry[64];
-      for (const ItemEstimate& hh : report) {
-        std::snprintf(entry, sizeof(entry), "\n%llu %.17g",
-                      static_cast<unsigned long long>(hh.item), hh.estimate);
-        reply += entry;
-      }
-      {
-        obs::ScopedPhase write_phase("reply_write");
-        WriteLine(fd, reply);
-      }
-      continue;
-    }
-    if (line.rfind("estimate ", 0) == 0) {
-      queries_ctr->Inc();
-      uint64_t item = 0;
-      if (!ParseU64(line.c_str() + 9, &item)) {
-        WriteLine(fd, "err malformed item id in '" + line + "'");
-        continue;
-      }
-      obs::QuerySpan span("estimate");
-      char reply[64];
-      std::snprintf(reply, sizeof(reply), "est %llu %.17g",
-                    static_cast<unsigned long long>(item),
-                    engine.Estimate(item));
-      {
-        obs::ScopedPhase write_phase("reply_write");
-        WriteLine(fd, reply);
-      }
+      serve::WriteLine(fd, "ok " + std::to_string(engine.ItemsProcessed()));
       continue;
     }
     if (line == "stats") {
@@ -513,144 +319,53 @@ void HandleConnection(Server* server, int fd) {
                  std::to_string(m.slot_enqueued[p]) +
                  (m.slot_active[p] != 0 ? "*" : "");
       }
-      {
-        obs::ScopedPhase write_phase("reply_write");
-        WriteLine(fd, reply);
-      }
-      continue;
-    }
-    if (line == "metrics") {
-      queries_ctr->Inc();
-      // Point-in-time gauges are published at scrape time; counters and
-      // histograms are already live.  An enabled auditor runs a pass here
-      // too, so a scrape always reads a fresh eps-ratio.
-      engine.PublishMetrics();
-      if (server->auditor != nullptr) RunAudit(server);
-      const std::vector<std::string> lines =
-          obs::Registry::Get().ExpositionLines();
-      std::string reply = "metrics " + std::to_string(lines.size());
-      for (const std::string& metric_line : lines) {
-        reply += "\n" + metric_line;
-      }
-      WriteLine(fd, reply);
-      continue;
-    }
-    if (line == "trace" || line.rfind("trace ", 0) == 0) {
-      queries_ctr->Inc();
-      uint64_t max_events = 0;  // 0 = everything in the ring
-      obs::Severity min_sev = obs::Severity::kDebug;
-      bool args_ok = true;
-      if (line.size() > 5) {
-        std::istringstream in(line.substr(6));
-        std::string count_text, sev_text, extra;
-        in >> count_text >> sev_text >> extra;
-        if (!count_text.empty() && !ParseU64(count_text.c_str(), &max_events)) {
-          args_ok = false;
-        }
-        if (args_ok && !sev_text.empty() &&
-            !obs::ParseSeverity(sev_text, &min_sev)) {
-          args_ok = false;
-        }
-        if (!extra.empty()) args_ok = false;
-      }
-      if (!args_ok) {
-        WriteLine(fd, "err usage: trace [N [debug|info|warn]]");
-        continue;
-      }
-      const std::vector<std::string> lines = obs::TraceRing::Get().DrainText(
-          static_cast<size_t>(max_events), min_sev);
-      std::string reply = "trace " + std::to_string(lines.size());
-      for (const std::string& event_line : lines) {
-        reply += "\n" + event_line;
-      }
-      WriteLine(fd, reply);
-      continue;
-    }
-    if (line == "slow") {
-      queries_ctr->Inc();
-      const std::vector<std::string> lines =
-          obs::SlowQueryRing::Get().DrainText();
-      std::string reply = "slow " + std::to_string(lines.size());
-      for (const std::string& slow_line : lines) {
-        reply += "\n" + slow_line;
-      }
-      WriteLine(fd, reply);
+      obs::ScopedPhase write_phase("reply_write");
+      serve::WriteLine(fd, reply);
       continue;
     }
     if (line == "replicate" || line == "sync") {
       // "sync" before any "replicate" degenerates to a cold full sync:
       // the connection has no baselines, so every shard ships full.
       const bool cold = line == "replicate" || replica_baselines.empty();
-      std::vector<ShardFrame> frames;
-      uint64_t total = 0;
+      serve::ReplicationRound round;
       const Status captured = engine.CaptureFrames(
           cold ? std::vector<ShardBaseline>{} : replica_baselines,
-          ShardedEngine::kMaxDeltaChain, &frames, &total);
+          ShardedEngine::kMaxDeltaChain, &round.frames, &round.items);
       if (!captured.ok()) {
-        WriteLine(fd, "err " + captured.ToString());
+        serve::WriteLine(fd, "err " + captured.ToString());
         continue;
+      }
+      if (state.auditor != nullptr) {
+        // Ship exact shadow truth alongside the frames, so the follower
+        // can audit ITS engine against the primary's sampled substream
+        // without ever seeing the raw stream.  round.items is the applied
+        // count the frames advance the follower to — the same m the
+        // shadow's counts were taken at (CaptureFrames flushed).
+        const obs::AuditorOptions& opts = state.auditor->options();
+        round.audit = serve::AuditShadow{
+            opts.sample_rate, opts.epsilon, opts.phi, round.items,
+            state.auditor->TopShadow(opts.audit_top_k)};
       }
       if (cold) {
         replica_baselines.assign(engine.num_shards(), ShardBaseline{});
-        if (!WriteLine(fd, "rconf shards=" +
-                               std::to_string(engine.num_shards()) +
-                               " algo=" + engine.algorithm())) {
+        if (!serve::WriteLine(fd, serve::RconfLine(engine.num_shards(),
+                                                   engine.algorithm()))) {
           break;
         }
       }
-      bool io_ok = true;
-      for (const ShardFrame& frame : frames) {
-        const std::string header =
-            std::string("frame ") + (frame.delta ? "delta" : "full") + " " +
-            std::to_string(frame.shard) + " " +
-            std::to_string(frame.bytes.size());
-        if (!WriteLine(fd, header) ||
-            !WriteAll(fd, reinterpret_cast<const char*>(frame.bytes.data()),
-                      frame.bytes.size())) {
-          io_ok = false;
-          break;
-        }
-        // The follower now holds this state; the next sync diffs
-        // against it.
+      if (!serve::WriteRound(fd, round)) break;
+      // The follower now holds these states; the next sync diffs
+      // against them.
+      for (const ShardFrame& frame : round.frames) {
         ShardBaseline& baseline = replica_baselines[frame.shard];
         baseline.chain = frame.delta ? baseline.chain + 1 : 0;
         baseline.valid = true;
         baseline.applied = frame.applied;
         baseline.rotations = frame.rotations;
       }
-      if (io_ok && server->auditor != nullptr) {
-        // Ship exact shadow truth alongside the frames, so the follower
-        // can audit ITS merged view against the primary's sampled
-        // substream without ever seeing the raw stream.  `total` is the
-        // applied count the frames advance the follower to — the same m
-        // the shadow's counts were taken at (CaptureFrames flushed).
-        const obs::AuditorOptions& opts = server->auditor->options();
-        const auto shadow = server->auditor->TopShadow(opts.audit_top_k);
-        char header[160];
-        std::snprintf(header, sizeof(header),
-                      "audit %llu %.17g %.17g %llu %zu",
-                      static_cast<unsigned long long>(opts.sample_rate),
-                      opts.epsilon, opts.phi,
-                      static_cast<unsigned long long>(total), shadow.size());
-        io_ok = WriteLine(fd, header);
-        for (const auto& [key, count] : shadow) {
-          if (!io_ok) break;
-          io_ok = WriteLine(fd, std::to_string(key) + " " +
-                                    std::to_string(count));
-        }
-      }
-      if (!io_ok || !WriteLine(fd, "rsync " + std::to_string(total))) break;
       continue;
     }
-    if (line == "quit") break;
-    if (line == "shutdown") {
-      WriteLine(fd, "ok");
-      server->stop.store(true, std::memory_order_relaxed);
-      // Wake the accept loop the same way the signal handler does.
-      ::shutdown(server->listen_fd, SHUT_RDWR);
-      break;
-    }
-    WriteLine(fd, "err unknown request '" + line + "'");
+    if (!server.QueryVerb(line, fd)) break;
   }
   active_conns->Add(-1);
   // ~Producer releases the slot for the next connection.
@@ -690,81 +405,24 @@ int Serve(const ServeArgs& args) {
     audit_options.phi = args.phi;
     auditor = std::make_unique<obs::AccuracyAuditor>(audit_options);
   }
+  const ServeState state{engine.get(), auditor.get()};
 
-  const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd < 0) {
-    std::perror("socket");
-    return 2;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (args.socket_path.size() >= sizeof(addr.sun_path)) {
-    std::fprintf(stderr, "--socket path too long (max %zu bytes)\n",
-                 sizeof(addr.sun_path) - 1);
-    return 2;
-  }
-  std::strncpy(addr.sun_path, args.socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  ::unlink(args.socket_path.c_str());
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    std::perror("bind");
-    return 2;
-  }
-  if (::listen(listen_fd, 64) != 0) {
-    std::perror("listen");
-    return 2;
-  }
-
-  Server server;
-  server.engine = engine.get();
-  server.auditor = auditor.get();
-  server.default_phi = args.phi;
-  server.listen_fd = listen_fd;
-  g_server = &server;
-  std::signal(SIGPIPE, SIG_IGN);
-  std::signal(SIGINT, OnSignal);
-  std::signal(SIGTERM, OnSignal);
-
-  // HTTP telemetry surface.  /metrics publishes gauges and (when on)
-  // runs an audit pass at scrape time, so every scrape is fresh;
-  // /healthz says the process is alive, /readyz that it is accepting
-  // (for the primary, alive == ready — it owns the truth).
-  std::unique_ptr<obs::HttpExporter> exporter;
-  if (args.http_enabled) {
-    obs::HttpExporterOptions http_options;
-    http_options.port = static_cast<uint16_t>(args.http_port);
-    std::map<std::string, obs::HttpExporter::Handler> handlers;
-    handlers["/metrics"] = [&server] {
-      server.engine->PublishMetrics();
-      if (server.auditor != nullptr) RunAudit(&server);
-      const std::vector<std::string> lines =
-          obs::Registry::Get().ExpositionLines();
-      std::string body;
-      for (const std::string& metric_line : lines) {
-        body += metric_line;
-        body += '\n';
-      }
-      return obs::HttpResponse{200, "text/plain; version=0.0.4", body};
-    };
-    handlers["/healthz"] = [] {
-      return obs::HttpResponse{200, "text/plain; charset=utf-8", "ok\n"};
-    };
-    handlers["/readyz"] = [&server] {
-      const bool ready = !server.stop.load(std::memory_order_relaxed);
-      return obs::HttpResponse{ready ? 200 : 503,
-                               "text/plain; charset=utf-8",
-                               ready ? "ok\n" : "stopping\n"};
-    };
-    Status http_status;
-    exporter = obs::HttpExporter::Create(http_options, std::move(handlers),
-                                         &http_status);
-    if (exporter == nullptr) {
-      std::fprintf(stderr, "cannot start http exporter: %s\n",
-                   http_status.ToString().c_str());
-      return 2;
-    }
-  }
+  // Point-in-time gauges are published at scrape time; counters and
+  // histograms are already live.  An enabled auditor runs a pass too, so
+  // a scrape always reads a fresh eps-ratio.  For the primary, alive ==
+  // ready (it owns the truth), so /readyz keeps the default.
+  serve::Server::Hooks hooks;
+  hooks.engine = [&state] { return state.engine; };
+  hooks.before_scrape = [&state] {
+    state.engine->PublishMetrics();
+    if (state.auditor != nullptr) RunAudit(state);
+  };
+  hooks.queries = obs::GetCounter("l1hh_serve_queries_total");
+  auto server = serve::Server::Start(
+      {args.socket_path, args.phi, args.http_enabled,
+       static_cast<uint16_t>(args.http_port)},
+      std::move(hooks));
+  if (server == nullptr) return 2;
 
   // Periodic audit thread: keeps the l1hh_audit_* gauges warm even when
   // nobody scrapes (operators watching `metrics` over the socket).
@@ -779,48 +437,18 @@ int Serve(const ServeArgs& args) {
           lock, std::chrono::milliseconds(args.audit_interval_ms),
           [&] { return audit_stop; })) {
         lock.unlock();
-        RunAudit(&server);
+        RunAudit(state);
         lock.lock();
       }
     });
   }
 
   // The readiness line clients (and tests/serve_test.cc) wait for.
-  std::printf("listening %s\n", args.socket_path.c_str());
-  if (exporter != nullptr) {
-    std::printf("http %u\n", static_cast<unsigned>(exporter->port()));
-  }
-  std::fflush(stdout);
-
-  std::vector<std::thread> connections;
-  while (!server.stop.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener closed by shutdown/signal
-    }
-    {
-      std::lock_guard<std::mutex> lock(server.conn_mutex);
-      server.conn_fds.push_back(fd);
-    }
-    connections.emplace_back(
-        [&server, fd] { HandleConnection(&server, fd); });
-  }
-
-  // Orderly teardown: kick every live connection off its read, join the
-  // handlers (releasing their producer slots), then report and exit.
-  {
-    std::lock_guard<std::mutex> lock(server.conn_mutex);
-    for (const int fd : server.conn_fds) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (auto& thread : connections) thread.join();
-  {
-    std::lock_guard<std::mutex> lock(server.conn_mutex);
-    for (const int fd : server.conn_fds) ::close(fd);
-  }
-  // The exporter and the audit thread reference the engine; stop both
-  // before it goes away.
-  if (exporter != nullptr) exporter->Stop();
+  server->Announce();
+  server->Run([&server, &state](int fd) {
+    HandleConnection(*server, state, fd);
+  });
+  // The audit thread references the engine; stop it before it goes away.
   if (audit_thread.joinable()) {
     {
       std::lock_guard<std::mutex> lock(audit_mutex);
@@ -829,8 +457,7 @@ int Serve(const ServeArgs& args) {
     audit_cv.notify_all();
     audit_thread.join();
   }
-  ::close(listen_fd);
-  ::unlink(args.socket_path.c_str());
+  server.reset();
   engine->Flush();
   std::printf("served %llu items\n",
               static_cast<unsigned long long>(engine->ItemsProcessed()));
