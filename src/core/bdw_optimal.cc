@@ -1,6 +1,7 @@
 #include "core/bdw_optimal.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/bit_util.h"
@@ -13,6 +14,15 @@ uint64_t ExpectedSamples(const BdwOptimal::Options& opt) {
   const double l =
       opt.constants.opt_sample_factor / (opt.epsilon * opt.epsilon);
   return std::max<uint64_t>(64, static_cast<uint64_t>(std::ceil(l)));
+}
+
+// The paper's Lemma 1 coin, 64 at a time: every bit of `lanes` survives
+// iff the same bit of k fresh words is set, i.e. independently with
+// probability exactly 2^-k.  Stops drawing once no lane survives — the
+// remaining words could not change the outcome.
+uint64_t CoinMask(Rng& rng, int k, uint64_t lanes) {
+  for (; k > 0 && lanes != 0; --k) lanes &= rng.NextU64();
+  return lanes;
 }
 
 }  // namespace
@@ -90,13 +100,21 @@ void BdwOptimal::Insert(ItemId item) {
   const int t = current_epoch_;
   // Count with probability min(eps * 2^t, 1) = 2^{-(eps_exp - t)}.
   const int k = std::max(eps_exp_ - t, 0);
-  for (size_t j = 0; j < reps_; ++j) {
-    const size_t i = static_cast<size_t>(hashes_[j](item));
-    if (rng_.AllZeroBits(eps_exp_)) {
-      t2_.Increment(T2Cell(i, j));
-    }
-    if (rng_.AllZeroBits(k)) {
-      t3_.Increment(T3Cell(i, j, t));
+  // The per-repetition coins, 64 repetitions per word: bit b of m2 (m3)
+  // is repetition base + b's T2 (T3) coin.  Only repetitions whose coin
+  // fires are hashed.
+  for (size_t base = 0; base < reps_; base += 64) {
+    const size_t block = std::min<size_t>(reps_ - base, 64);
+    const uint64_t lanes =
+        block == 64 ? ~uint64_t{0} : (uint64_t{1} << block) - 1;
+    const uint64_t m2 = CoinMask(rng_, eps_exp_, lanes);
+    const uint64_t m3 = CoinMask(rng_, k, lanes);
+    for (uint64_t fired = m2 | m3; fired != 0; fired &= fired - 1) {
+      const int b = std::countr_zero(fired);
+      const size_t j = base + static_cast<size_t>(b);
+      const size_t i = static_cast<size_t>(hashes_[j](item));
+      if ((m2 >> b) & 1) t2_.Increment(T2Cell(i, j));
+      if ((m3 >> b) & 1) t3_.Increment(T3Cell(i, j, t));
     }
   }
 }

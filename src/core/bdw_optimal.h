@@ -72,9 +72,11 @@ class BdwOptimal {
 
   BdwOptimal(const Options& options, uint64_t seed);
 
-  /// Processes one stream item.  O(R) on the (rare) sampled items, O(1)
-  /// worst-case after the paper's spreading argument; O(1) always for
-  /// non-sampled items.
+  /// Processes one stream item.  O(1) for non-sampled items.  A sampled
+  /// item draws the T2/T3 coins of 64 repetitions per random word (O(R/64)
+  /// words, early-exiting once no coin can fire) and hashes only the
+  /// repetitions whose coin fires: R (2^-eps_exp + 2^-(eps_exp - t))
+  /// expected hashes and counter increments in epoch t.
   void Insert(ItemId item);
 
   std::vector<HeavyHitter> Report() const;
@@ -133,6 +135,10 @@ class BdwOptimal {
   size_t rows() const { return rows_; }
   int max_epoch() const { return max_epoch_; }
   const Options& options() const { return opt_; }
+
+  /// Sums of all T2 / T3 counters: how many coins have fired so far.
+  uint64_t t2_total() const { return t2_.Total(); }
+  uint64_t t3_total() const { return t3_.Total(); }
 
   /// Paper-style accounting: T1 + T2 (content) + T3 (sparse: only epochs
   /// actually opened per cell are charged) + hash seeds + sampler.

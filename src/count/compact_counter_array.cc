@@ -1,12 +1,15 @@
 #include "count/compact_counter_array.h"
 
+#include <algorithm>
+
 namespace l1hh {
 
 void CompactCounterArray::Reset(size_t n) {
   size_ = n;
   total_ = 0;
   packed_.assign((n + 1) / 2, 0);
-  overflow_.clear();
+  spill_ = {};
+  spill_count_ = 0;
 }
 
 void CompactCounterArray::Add(size_t i, uint64_t delta) {
@@ -20,17 +23,46 @@ void CompactCounterArray::Add(size_t i, uint64_t delta) {
       return;
     }
     SetNibble(i, kNibbleMax);
-    overflow_[i] += v - kNibbleMax;
+    if (v > kNibbleMax) SpillValue(i) += v - kNibbleMax;
     return;
   }
-  overflow_[i] += delta;
+  SpillValue(i) += delta;
+}
+
+uint64_t& CompactCounterArray::SpillValue(size_t i) {
+  if (spill_.empty()) ReserveSpill(1);
+  size_t s = SpillProbe(i);
+  if (spill_[s].key == 0) {  // a new spilled cell
+    if ((spill_count_ + 1) * 4 > spill_.size() * 3) {
+      ReserveSpill(spill_count_ + 1);
+      s = SpillProbe(i);
+    }
+    spill_[s].key = i + 1;
+    ++spill_count_;
+  }
+  return spill_[s].value;
+}
+
+void CompactCounterArray::ReserveSpill(size_t count) {
+  if (count * 4 <= spill_.size() * 3) return;
+  size_t slots = std::max<size_t>(spill_.size(), 8);
+  while (count * 4 > slots * 3) slots *= 2;
+  std::vector<SpillSlot> old(slots);
+  old.swap(spill_);
+  for (const SpillSlot& slot : old) {
+    if (slot.key != 0) spill_[SpillProbe(slot.key - 1)] = slot;
+  }
 }
 
 bool CompactCounterArray::AddFrom(const CompactCounterArray& other) {
   if (other.size_ != size_) return false;
-  for (size_t i = 0; i < size_; ++i) {
-    const uint64_t v = other.Get(i);
-    if (v != 0) Add(i, v);
+  ReserveSpill(spill_count_ + other.spill_count_);
+  for (size_t b = 0; b < other.packed_.size(); ++b) {
+    if (other.packed_[b] == 0) continue;  // two empty cells
+    for (size_t i = 2 * b; i < std::min(2 * b + 2, size_); ++i) {
+      const uint64_t v = other.Get(i);
+      if (v != 0) Add(i, v);
+    }
   }
   return true;
 }
@@ -45,10 +77,7 @@ size_t CompactCounterArray::SpaceBits() const {
 }
 
 size_t CompactCounterArray::HeapBytes() const {
-  // unordered_map node overhead approximated at 48 bytes per entry plus the
-  // bucket array.
-  return packed_.capacity() +
-         overflow_.size() * 48 + overflow_.bucket_count() * sizeof(void*);
+  return packed_.capacity() + spill_.capacity() * sizeof(SpillSlot);
 }
 
 void CompactCounterArray::Serialize(BitWriter& out) const {

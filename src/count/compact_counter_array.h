@@ -4,9 +4,11 @@
 // time and O(log C) bits of space" (Section 2.3).
 //
 // Layout: every counter owns a 4-bit nibble in a packed base array; counters
-// that outgrow their nibble spill into a small open-addressing overflow map
-// holding the high bits.  Reads and increments are O(1); the occupied space
-// is Theta(sum_i log c_i) + O(n) bits, matching the accounting the paper
+// that outgrow their nibble spill into a flat open-addressing table of
+// 16-byte {cell + 1, value - 15} slots (linear probing from Mix64(cell),
+// grown by doubling at 3/4 load) holding the high bits.  Reads and
+// increments are O(1) expected; the occupied space is
+// Theta(sum_i log c_i) + O(n) bits, matching the accounting the paper
 // needs for tables T2/T3 of Algorithm 2.  SpaceBits() reports the
 // information-theoretic gamma-code cost, which is what the benches chart;
 // HeapBytes() reports what this process actually allocated.
@@ -15,11 +17,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "util/bit_stream.h"
 #include "util/bit_util.h"
+#include "util/random.h"
 
 namespace l1hh {
 
@@ -34,8 +36,9 @@ class CompactCounterArray {
   uint64_t Get(size_t i) const {
     const uint8_t nib = Nibble(i);
     if (nib < kNibbleMax) return nib;
-    const auto it = overflow_.find(i);
-    return (it == overflow_.end() ? 0 : it->second) + kNibbleMax;
+    // An empty slot holds value 0: a spilled nibble with no slot is 15.
+    return spill_.empty() ? kNibbleMax
+                          : kNibbleMax + spill_[SpillProbe(i)].value;
   }
 
   /// counter[i] += delta.
@@ -45,7 +48,8 @@ class CompactCounterArray {
 
   /// Cell-wise sum: counter[i] += other[i] for all i.  Returns false (and
   /// changes nothing) when the arrays differ in length.  This is the
-  /// combination step of every table merge (e.g. BdwOptimal::MergeFrom).
+  /// combination step of every table merge (e.g. BdwOptimal::MergeFrom);
+  /// the spill table is sized once for both sides' spilled cells.
   bool AddFrom(const CompactCounterArray& other);
 
   /// Sum of all counters.
@@ -57,7 +61,8 @@ class CompactCounterArray {
   /// small and degrades gracefully (O(log C) per counter) when they grow.
   size_t SpaceBits() const;
 
-  /// Actual process memory held by this structure.
+  /// Actual process memory held by this structure: the nibble array plus
+  /// 16 bytes per spill-table slot.
   size_t HeapBytes() const;
 
   /// Dense wire encoding: one gamma code per cell (1 bit per empty cell).
@@ -88,6 +93,24 @@ class CompactCounterArray {
  private:
   static constexpr uint8_t kNibbleMax = 15;  // nibble value 15 == "spilled"
 
+  struct SpillSlot {
+    uint64_t key = 0;    // cell + 1; 0 marks an empty slot
+    uint64_t value = 0;  // counter - kNibbleMax
+  };
+
+  /// The slot holding cell i, or the empty slot where it would go.  The
+  /// table is nonempty and at most 3/4 full, so the probe terminates.
+  size_t SpillProbe(size_t i) const {
+    const size_t mask = spill_.size() - 1;
+    size_t s = static_cast<size_t>(Mix64(i)) & mask;
+    while (spill_[s].key != i + 1 && spill_[s].key != 0) s = (s + 1) & mask;
+    return s;
+  }
+  /// counter[i]'s spilled part, inserting an empty slot if absent.
+  uint64_t& SpillValue(size_t i);
+  /// Grows the table so `count` keys fit under 3/4 load.
+  void ReserveSpill(size_t count);
+
   uint8_t Nibble(size_t i) const {
     const uint8_t byte = packed_[i >> 1];
     return (i & 1) != 0 ? (byte >> 4) : (byte & 0x0f);
@@ -103,8 +126,9 @@ class CompactCounterArray {
 
   size_t size_ = 0;
   uint64_t total_ = 0;
-  std::vector<uint8_t> packed_;                    // 2 counters per byte
-  std::unordered_map<size_t, uint64_t> overflow_;  // value - kNibbleMax
+  std::vector<uint8_t> packed_;   // 2 counters per byte
+  std::vector<SpillSlot> spill_;  // empty or a power-of-two slot count
+  size_t spill_count_ = 0;        // occupied slots
 };
 
 }  // namespace l1hh

@@ -37,13 +37,23 @@ void CountSketch::Insert(uint64_t item, int64_t count) {
 }
 
 int64_t CountSketch::Estimate(uint64_t item) const {
-  std::vector<int64_t> rows;
-  rows.reserve(index_hashes_.size());
-  for (size_t r = 0; r < index_hashes_.size(); ++r) {
-    rows.push_back(Sign(r, item) * table_[Cell(r, item)]);
+  // Runs on every summary update (candidate tracking), so the per-row
+  // values live on the stack; only a depth beyond any practical delta
+  // falls back to the heap.
+  constexpr size_t kStackRows = 32;
+  int64_t stack_rows[kStackRows] = {};
+  std::vector<int64_t> heap_rows;
+  const size_t depth = index_hashes_.size();
+  int64_t* rows = stack_rows;
+  if (depth > kStackRows) {
+    heap_rows.resize(depth);
+    rows = heap_rows.data();
   }
-  const size_t mid = rows.size() / 2;
-  std::nth_element(rows.begin(), rows.begin() + mid, rows.end());
+  for (size_t r = 0; r < depth; ++r) {
+    rows[r] = Sign(r, item) * table_[Cell(r, item)];
+  }
+  const size_t mid = depth / 2;
+  std::nth_element(rows, rows + mid, rows + depth);
   return rows[mid];
 }
 

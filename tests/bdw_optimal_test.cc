@@ -9,6 +9,7 @@
 #include "stream/stream_generator.h"
 #include "summary/exact_counter.h"
 #include "summary/misra_gries.h"
+#include "util/bit_util.h"
 
 namespace l1hh {
 namespace {
@@ -213,6 +214,87 @@ TEST(BdwOptimalTest, CurrentEpochFollowsScheduleDuringIngest) {
   }
   EXPECT_EQ(sketch.samples_taken(), m);
   EXPECT_EQ(sketch.current_epoch(), sketch.EpochAtSample(m));
+}
+
+// Once the epoch reaches eps_exp the T3 coin has probability 1: every
+// repetition of every sampled item must be counted, none skipped by the
+// bit-parallel coin loop.
+TEST(BdwOptimalTest, T3CountsEveryRepetitionOnceTheCoinIsCertain) {
+  const double eps = 0.005;
+  BdwOptimal sketch(MakeOptions(eps, 0.02, 100000), 3);
+  const int eps_exp = ProbabilityToPow2Exponent(eps);
+  ASSERT_EQ(eps_exp, 8);
+  ASSERT_GE(sketch.max_epoch(), eps_exp);
+  sketch.FastForwardToEpoch(eps_exp);
+  ASSERT_EQ(sketch.current_epoch(), eps_exp);
+  for (uint64_t x = 0; x < 2000; ++x) {
+    const uint64_t t3_before = sketch.t3_total();
+    const uint64_t sampled_before = sketch.samples_taken();
+    sketch.Insert(x % 37);
+    ASSERT_EQ(sketch.t3_total() - t3_before,
+              (sketch.samples_taken() - sampled_before) *
+                  sketch.repetitions());
+  }
+  EXPECT_GT(sketch.samples_taken(), 0u);
+}
+
+// In epoch 0 both coins fire with probability 2^-eps_exp, independently
+// per (sampled item, repetition): each table's total is Binomial(N R, p).
+TEST(BdwOptimalTest, EpochZeroCoinRatesMatchLemmaOne) {
+  const double eps = 0.01;
+  const uint64_t m = 10000;
+  BdwOptimal sketch(MakeOptions(eps, 0.05, m), 29);
+  for (uint64_t x = 0; x < m; ++x) sketch.Insert(x);
+  ASSERT_EQ(sketch.current_epoch(), 0);
+  ASSERT_EQ(ProbabilityToPow2Exponent(eps), 7);
+  const double trials = static_cast<double>(sketch.samples_taken()) *
+                        static_cast<double>(sketch.repetitions());
+  const double p = std::ldexp(1.0, -7);
+  const double mean = trials * p;
+  const double sigma = std::sqrt(trials * p * (1 - p));
+  EXPECT_NEAR(static_cast<double>(sketch.t2_total()), mean, 5 * sigma);
+  EXPECT_NEAR(static_cast<double>(sketch.t3_total()), mean, 5 * sigma);
+}
+
+// R = 129 spans three 64-repetition coin words (64 + 64 + 1): the block
+// loop must still find the heavies and replay exactly after a restore.
+TEST(BdwOptimalTest, MultiBlockRepetitionsReportAndResumeExactly) {
+  const double eps = 0.02, phi = 0.1;
+  const uint64_t m = 60000;
+  BdwOptimal::Options opt = MakeOptions(eps, phi, m);
+  opt.constants.opt_min_reps = 129;
+  const uint64_t seed = 41;
+  const PlantedSpec spec{{2 * phi, 1.5 * phi}, 1 << 24, m};
+  const PlantedStream s = MakePlantedStream(spec, 43);
+
+  BdwOptimal live(opt, seed);
+  ASSERT_EQ(live.repetitions(), 129u);
+  const size_t half = s.items.size() / 2;
+  for (size_t i = 0; i < half; ++i) live.Insert(s.items[i]);
+  BitWriter saved;
+  live.SerializeSparse(saved);
+  live.SerializeRngState(saved);
+  BitReader r(saved);
+  BdwOptimal restored = BdwOptimal::DeserializeSparse(r, seed);
+  restored.DeserializeRngState(r);
+  ASSERT_FALSE(r.overflow());
+  for (size_t i = half; i < s.items.size(); ++i) {
+    live.Insert(s.items[i]);
+    restored.Insert(s.items[i]);
+  }
+
+  BitWriter a, b;
+  live.Serialize(a);
+  live.SerializeRngState(a);
+  restored.Serialize(b);
+  restored.SerializeRngState(b);
+  EXPECT_EQ(a.size_bits(), b.size_bits());
+  EXPECT_EQ(a.words(), b.words());
+
+  std::unordered_set<uint64_t> reported;
+  for (const auto& hh : restored.Report()) reported.insert(hh.item);
+  EXPECT_EQ(reported.count(s.planted_ids[0]), 1u);
+  EXPECT_EQ(reported.count(s.planted_ids[1]), 1u);
 }
 
 class BdwOptimalGrid

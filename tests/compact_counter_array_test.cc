@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "util/random.h"
@@ -137,6 +139,112 @@ TEST(CompactCounterArrayTest, ResetClears) {
   a.Reset(8);
   EXPECT_EQ(a.Get(2), 0u);
   EXPECT_EQ(a.Total(), 0u);
+}
+
+// Fills `a` and `ref` with `ops` random adds over `cells` distinct cells,
+// every one of them pushed past its nibble, with occasional huge deltas.
+void FillSpilled(CompactCounterArray& a, std::map<size_t, uint64_t>& ref,
+                 Rng& rng, size_t cells, int ops) {
+  std::vector<size_t> picked;
+  while (ref.size() < cells) {
+    const size_t i = rng.UniformU64(a.size());
+    if (ref.count(i) != 0) continue;
+    const uint64_t d = 15 + rng.UniformU64(10);
+    a.Add(i, d);
+    ref[i] += d;
+    picked.push_back(i);
+  }
+  for (int op = 0; op < ops; ++op) {
+    const size_t i = picked[rng.UniformU64(picked.size())];
+    const uint64_t d = rng.UniformU64(100) == 0 ? uint64_t{1} << 40
+                                                : 1 + rng.UniformU64(20);
+    a.Add(i, d);
+    ref[i] += d;
+  }
+}
+
+void ExpectMatches(const CompactCounterArray& a,
+                   const std::map<size_t, uint64_t>& ref) {
+  uint64_t total = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const auto it = ref.find(i);
+    const uint64_t want = it == ref.end() ? 0 : it->second;
+    ASSERT_EQ(a.Get(i), want) << "cell " << i;
+    total += want;
+  }
+  EXPECT_EQ(a.Total(), total);
+}
+
+TEST(CompactCounterArrayTest, ManySpilledCellsMatchReference) {
+  Rng rng(11);
+  const size_t n = size_t{1} << 16;
+  const size_t cells = 12000;
+  CompactCounterArray a(n);
+  std::map<size_t, uint64_t> ref;
+  FillSpilled(a, ref, rng, cells, 50000);  // grows the table many times
+  ExpectMatches(a, ref);
+  // 16-byte slots at <= 3/4 load, doubling: under 3 slots per spilled
+  // cell on top of the nibble array.
+  EXPECT_GE(a.HeapBytes(), n / 2 + 16 * cells);
+  EXPECT_LE(a.HeapBytes(), n / 2 + 16 * 3 * cells);
+}
+
+TEST(CompactCounterArrayTest, AddFromSumsSpilledArrays) {
+  Rng rng(12);
+  const size_t n = 20000;
+  CompactCounterArray a(n), b(n);
+  std::map<size_t, uint64_t> ref_a, ref_b;
+  FillSpilled(a, ref_a, rng, 3000, 10000);
+  FillSpilled(b, ref_b, rng, 3000, 10000);
+  // Nibble-only cells on both sides whose sum spills.
+  a.Add(n - 1, 9);
+  b.Add(n - 1, 9);
+  ref_a[n - 1] += 9;
+  ref_b[n - 1] += 9;
+  ASSERT_TRUE(a.AddFrom(b));
+  for (const auto& [i, v] : ref_b) ref_a[i] += v;
+  ExpectMatches(a, ref_a);
+  EXPECT_FALSE(a.AddFrom(CompactCounterArray(n + 1)));
+}
+
+TEST(CompactCounterArrayTest, ResetThenReuseSpillTable) {
+  Rng rng(13);
+  CompactCounterArray a(4096);
+  std::map<size_t, uint64_t> ref;
+  FillSpilled(a, ref, rng, 1000, 5000);
+  a.Reset(4096);
+  ExpectMatches(a, {});
+  ref.clear();
+  FillSpilled(a, ref, rng, 1500, 5000);
+  ExpectMatches(a, ref);
+}
+
+TEST(CompactCounterArrayTest, EncodingsIgnoreInsertionOrder) {
+  // Different add orders leave the spill table laid out differently; the
+  // wire bytes must depend on the counter contents alone.
+  Rng rng(14);
+  const size_t n = 5000;
+  std::vector<std::pair<size_t, uint64_t>> adds;
+  for (int op = 0; op < 20000; ++op) {
+    adds.emplace_back(rng.UniformU64(n / 4), 1 + rng.UniformU64(40));
+  }
+  CompactCounterArray forward(n), backward(n);
+  for (const auto& [i, d] : adds) forward.Add(i, d);
+  for (auto it = adds.rbegin(); it != adds.rend(); ++it) {
+    backward.Add(it->first, it->second);
+  }
+  for (const bool sparse : {false, true}) {
+    BitWriter f, b;
+    if (sparse) {
+      forward.SerializeSparse(f);
+      backward.SerializeSparse(b);
+    } else {
+      forward.Serialize(f);
+      backward.Serialize(b);
+    }
+    EXPECT_EQ(f.size_bits(), b.size_bits()) << "sparse=" << sparse;
+    EXPECT_EQ(f.words(), b.words()) << "sparse=" << sparse;
+  }
 }
 
 }  // namespace

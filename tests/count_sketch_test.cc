@@ -60,11 +60,15 @@ TEST(CountSketchTest, HeavyItemsRecoverable) {
 }
 
 TEST(CountSketchTest, SupportsDeletions) {
-  // CountSketch is a linear sketch; insert then delete cancels.
-  CountSketch cs(128, 5, 33);
-  for (int i = 0; i < 100; ++i) cs.Insert(7, 1);
-  for (int i = 0; i < 100; ++i) cs.Insert(7, -1);
-  EXPECT_EQ(cs.Estimate(7), 0);
+  // CountSketch is a linear sketch; insert then delete cancels.  Depth 41
+  // takes Estimate's heap path (beyond its stack buffer).
+  for (const size_t depth : {5, 41}) {
+    CountSketch cs(128, depth, 33);
+    for (int i = 0; i < 100; ++i) cs.Insert(7, 1);
+    EXPECT_EQ(cs.Estimate(7), 100);
+    for (int i = 0; i < 100; ++i) cs.Insert(7, -1);
+    EXPECT_EQ(cs.Estimate(7), 0);
+  }
 }
 
 TEST(CountSketchTest, DepthForcedOdd) {
