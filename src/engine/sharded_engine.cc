@@ -251,29 +251,32 @@ void PruneCheckpoints(const std::string& dir) {
 constexpr size_t kMaxProducerSlots = 4096;
 
 // What every shard set entering an engine from outside must satisfy — a
-// checkpoint generation (Restore), a replica's first round (FromFrames),
-// or a round committed over live shards (ApplyFrames).  `*rotations` gets
-// the common window rotation count (0 when not windowed).
+// checkpoint generation (Restore), a replica's cold round (FromFrames),
+// or a round committed over live shards (ApplyFrames).  `reference` is
+// the engine's own shard 0 for ApplyFrames and staged shard 0 otherwise.
+// `*rotations` gets the common window rotation count (0 when not
+// windowed).
 Status ValidateShardSet(const std::vector<const Summary*>& shards,
-                        uint64_t* rotations) {
+                        const Summary& reference, uint64_t* rotations) {
   *rotations = 0;
-  if (shards.size() > 1 && !shards[0]->SupportsMerge()) {
+  if (shards.size() > 1 && !reference.SupportsMerge()) {
     return Status::FailedPrecondition(
-        "'" + std::string(shards[0]->Name()) +
+        "'" + std::string(reference.Name()) +
         "' does not support Merge; a multi-shard state of it cannot be "
         "valid");
   }
   // All shards must come from ONE engine: same structure, options and
   // seed, or the first merged query would fail on Merge compatibility
   // (and abort).  Catch a spliced-in foreign shard here, as a Status.
-  const SummaryOptions base = shards[0]->Options();
-  for (size_t s = 1; s < shards.size(); ++s) {
-    if (shards[s]->Name() != shards[0]->Name() ||
+  const SummaryOptions base = reference.Options();
+  for (size_t s = 0; s < shards.size(); ++s) {
+    if (shards[s]->Name() != reference.Name() ||
         !(shards[s]->Options() == base)) {
       return Status::Corruption(
-          "shard " + std::to_string(s) + " was built as a different "
-          "structure or with different options or seed than shard 0; not "
-          "shards of one engine");
+          "shard " + std::to_string(s) + " holds '" +
+          std::string(shards[s]->Name()) + "' built with different options "
+          "or seed than this engine's '" + std::string(reference.Name()) +
+          "'; not shards of one engine");
     }
   }
 
@@ -324,6 +327,45 @@ Status ValidateShardSet(const std::vector<const Summary*>& shards,
         (at_boundary ? " or " + std::to_string(total / stride) : "") + ")");
   }
   *rotations = restored_rotations;
+  return Status::Ok();
+}
+
+// The one decoder for shard state arriving from outside: a checkpoint
+// chain, a replica's cold round, or a round over live shards.  Decodes
+// `frames` in order into `*staged` (one slot per shard).  A full frame
+// replaces the shard's slot; a delta applies in place onto the slot this
+// round already staged, or else onto a Save/Load copy of `live[shard]`
+// (`live` is empty for a cold round).  Nothing live is touched.
+Status StageFrames(const std::vector<ShardFrame>& frames,
+                   const std::vector<const Summary*>& live,
+                   std::vector<std::unique_ptr<Summary>>* staged) {
+  for (const ShardFrame& frame : frames) {
+    if (frame.shard >= staged->size()) {
+      return Status::InvalidArgument(
+          "frame for shard " + std::to_string(frame.shard) + " of a " +
+          std::to_string(staged->size()) + "-shard engine");
+    }
+    std::unique_ptr<Summary>& slot = (*staged)[frame.shard];
+    Status s;
+    if (!frame.delta) {
+      slot = LoadSummary(frame.bytes, &s);
+      if (!s.ok()) return s;
+      continue;
+    }
+    if (slot == nullptr) {
+      if (live.empty()) {
+        return Status::InvalidArgument(
+            "delta frame for shard " + std::to_string(frame.shard) +
+            " has no base: no full frame precedes it");
+      }
+      std::vector<uint8_t> bytes;
+      s = SaveSummary(*live[frame.shard], &bytes);
+      if (s.ok()) slot = LoadSummary(bytes, &s);
+      if (!s.ok()) return s;
+    }
+    s = ApplySummaryDelta(frame.bytes, slot.get());
+    if (!s.ok()) return s;
+  }
   return Status::Ok();
 }
 
@@ -1138,12 +1180,9 @@ Status ShardedEngine::WriteCheckpoint(const std::string& dir,
       frame_bytes += frame.bytes.size();
       if (frame.delta) {
         ++delta_frames;
-      } else {
-        ++full_frames;
-      }
-      if (frame.delta) {
         record.files.push_back(ShardDeltaFileName(frame.shard, gen));
       } else {
+        ++full_frames;
         record.files.clear();
         record.files.push_back(ShardFullFileName(frame.shard, gen));
       }
@@ -1251,82 +1290,91 @@ std::unique_ptr<ShardedEngine> ShardedEngine::RestoreGeneration(
   const std::string manifest_path =
       (std::filesystem::path(dir) / ManifestFileName(generation)).string();
   Manifest manifest;
-  Status parsed = ParseManifestFile(manifest_path, &manifest);
-  if (!parsed.ok()) return fail(std::move(parsed));
-  const std::string& algorithm = manifest.algorithm;
+  Status s = ParseManifestFile(manifest_path, &manifest);
+  if (!s.ok()) return fail(std::move(s));
 
-  std::vector<std::unique_ptr<Summary>> loaded;
-  loaded.reserve(manifest.shards.size());
+  // Each chain becomes frames in manifest order — the full file, then its
+  // deltas — and goes through the same decoder as a replica's cold round.
+  // Every delta's embedded base clocks must match the state the previous
+  // file replayed to (ApplyTail enforces it), so a chain spliced across
+  // checkpoints is a Corruption here, not a silently wrong window.
+  std::vector<ShardFrame> frames;
+  for (size_t sh = 0; sh < manifest.shards.size(); ++sh) {
+    const std::vector<std::string>& files = manifest.shards[sh].files;
+    for (size_t f = 0; f < files.size(); ++f) {
+      ShardFrame& frame = frames.emplace_back();
+      frame.shard = sh;
+      frame.delta = f != 0;
+      s = ReadFileBytes((std::filesystem::path(dir) / files[f]).string(),
+                        &frame.bytes);
+      if (!s.ok()) return fail(std::move(s));
+    }
+  }
+  auto engine = FromFrames(frames, manifest.shards.size(), exec, status);
+  if (engine == nullptr) return nullptr;
+
+  // The built engine must be the one the manifest describes.
+  if (engine->algorithm() != manifest.algorithm) {
+    return fail(Status::Corruption(
+        "shard files hold '" + engine->algorithm() + "', manifest '" +
+        manifest_path + "' says '" + manifest.algorithm + "'"));
+  }
+  const std::vector<uint64_t> applied = engine->ShardItemCounts();
+  const uint64_t rotations =
+      engine->rotations_done_.load(std::memory_order_acquire);
   for (size_t sh = 0; sh < manifest.shards.size(); ++sh) {
     const ManifestShard& record = manifest.shards[sh];
-    Status load_status;
-    auto summary = LoadSummaryFromFile(
-        (std::filesystem::path(dir) / record.files[0]).string(),
-        &load_status);
-    if (summary == nullptr) return fail(std::move(load_status));
-    if (summary->Name() != algorithm) {
-      return fail(Status::Corruption(
-          "shard file '" + record.files[0] + "' holds '" +
-          std::string(summary->Name()) + "', manifest says '" + algorithm +
-          "'"));
-    }
-    // Replay the delta chain in manifest order; every delta's embedded
-    // base clocks must match the state the previous file replayed to
-    // (ApplyTail enforces it), so a chain spliced across checkpoints is
-    // a Corruption here, not a silently wrong window.
-    for (size_t f = 1; f < record.files.size(); ++f) {
-      const Status applied = ApplySummaryDeltaFromFile(
-          (std::filesystem::path(dir) / record.files[f]).string(),
-          summary.get());
-      if (!applied.ok()) return fail(applied);
-    }
-    if (summary->ItemsProcessed() != record.applied) {
+    if (applied[sh] != record.applied || rotations != record.rotations) {
       return fail(Status::Corruption(
           "shard " + std::to_string(sh) + " chain replays to " +
-          std::to_string(summary->ItemsProcessed()) +
-          " items, manifest '" + manifest_path + "' says " +
-          std::to_string(record.applied)));
+          std::to_string(applied[sh]) + " items and " +
+          std::to_string(rotations) + " rotations, manifest '" +
+          manifest_path + "' says " + std::to_string(record.applied) +
+          " and " + std::to_string(record.rotations)));
     }
-    if (const auto* window =
-            dynamic_cast<const SlidingWindowSummary*>(summary.get());
-        window != nullptr && window->rotations() != record.rotations) {
-      return fail(Status::Corruption(
-          "shard " + std::to_string(sh) + " chain replays to " +
-          std::to_string(window->rotations()) + " rotations, manifest '" +
-          manifest_path + "' says " + std::to_string(record.rotations)));
-    }
-    loaded.push_back(std::move(summary));
   }
-  return FromSummaries(std::move(loaded), exec, status);
+  return engine;
 }
 
-std::unique_ptr<ShardedEngine> ShardedEngine::FromSummaries(
-    std::vector<std::unique_ptr<Summary>> loaded,
+std::unique_ptr<ShardedEngine> ShardedEngine::FromFrames(
+    const std::vector<ShardFrame>& frames, size_t num_shards,
     const ShardedEngineOptions& exec, Status* status) {
   auto fail = [status](Status s) -> std::unique_ptr<ShardedEngine> {
     if (status != nullptr) *status = std::move(s);
     return nullptr;
   };
+  if (num_shards == 0) {
+    return fail(Status::InvalidArgument("a cold round needs a shard"));
+  }
+  if (exec.max_producers == 0 || exec.max_producers > kMaxProducerSlots) {
+    return fail(Status::InvalidArgument(
+        "exec.max_producers " + std::to_string(exec.max_producers) +
+        " is out of range [1, " + std::to_string(kMaxProducerSlots) + "]"));
+  }
+  std::vector<std::unique_ptr<Summary>> staged(num_shards);
+  Status valid = StageFrames(frames, {}, &staged);
+  if (!valid.ok()) return fail(std::move(valid));
   std::vector<const Summary*> views;
-  for (const auto& summary : loaded) views.push_back(summary.get());
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (staged[s] == nullptr) {
+      return fail(Status::InvalidArgument(
+          "a cold round carries a full frame for every shard; shard " +
+          std::to_string(s) + " has none"));
+    }
+    views.push_back(staged[s].get());
+  }
   uint64_t restored_rotations = 0;
-  Status valid = ValidateShardSet(views, &restored_rotations);
+  valid = ValidateShardSet(views, *views[0], &restored_rotations);
   if (!valid.ok()) return fail(std::move(valid));
 
   ShardedEngineOptions options = exec;
-  options.algorithm = std::string(loaded[0]->Name());
-  options.summary = loaded[0]->Options();
-  options.num_shards = loaded.size();
-  if (options.max_producers == 0 ||
-      options.max_producers > kMaxProducerSlots) {
-    return fail(Status::InvalidArgument(
-        "exec.max_producers " + std::to_string(options.max_producers) +
-        " is out of range [1, " + std::to_string(kMaxProducerSlots) + "]"));
-  }
+  options.algorithm = std::string(views[0]->Name());
+  options.summary = views[0]->Options();
+  options.num_shards = num_shards;
   std::unique_ptr<ShardedEngine> engine(new ShardedEngine(options));
-  for (size_t s = 0; s < engine->shards_.size(); ++s) {
-    const uint64_t processed = loaded[s]->ItemsProcessed();
-    engine->shards_[s]->summary = std::move(loaded[s]);
+  for (size_t s = 0; s < num_shards; ++s) {
+    const uint64_t processed = staged[s]->ItemsProcessed();
+    engine->shards_[s]->summary = std::move(staged[s]);
     // Pre-thread-start stores: the worker pool has not launched yet.
     // The restored prefix is credited to slot 0 — the clock only needs
     // the sums, not the per-slot attribution.
@@ -1340,82 +1388,24 @@ std::unique_ptr<ShardedEngine> ShardedEngine::FromSummaries(
   return engine;
 }
 
-std::unique_ptr<ShardedEngine> ShardedEngine::FromFrames(
-    const std::vector<ShardFrame>& frames, size_t num_shards,
-    const ShardedEngineOptions& exec, Status* status) {
-  auto fail = [status](Status s) -> std::unique_ptr<ShardedEngine> {
-    if (status != nullptr) *status = std::move(s);
-    return nullptr;
-  };
-  if (num_shards == 0 || frames.size() != num_shards) {
-    return fail(Status::InvalidArgument(
-        "a cold round carries one full frame per shard: got " +
-        std::to_string(frames.size()) + " frames for " +
-        std::to_string(num_shards) + " shards"));
-  }
-  std::vector<std::unique_ptr<Summary>> loaded(num_shards);
-  for (const ShardFrame& frame : frames) {
-    if (frame.delta || frame.shard >= num_shards ||
-        loaded[frame.shard] != nullptr) {
-      return fail(Status::InvalidArgument(
-          "a cold round carries one full frame per shard; shard " +
-          std::to_string(frame.shard) + " is repeated, out of range, or a "
-          "delta"));
-    }
-    Status load_status;
-    loaded[frame.shard] = LoadSummary(frame.bytes, &load_status);
-    if (loaded[frame.shard] == nullptr) return fail(std::move(load_status));
-  }
-  return FromSummaries(std::move(loaded), exec, status);
-}
-
 Status ShardedEngine::ApplyFrames(const std::vector<ShardFrame>& frames) {
   return WithWorkersParked([&] { return ApplyFramesLocked(frames); });
 }
 
 Status ShardedEngine::ApplyFramesLocked(const std::vector<ShardFrame>& frames) {
-  // Stage every frame off to the side: a full frame decodes into a fresh
-  // summary, a delta applies onto a copy of the shard's staged-or-live
-  // state.  Nothing live changes until every frame decoded and the
-  // resulting shard set validated, so a refused frame leaves the engine
-  // at the previous committed round.
-  std::vector<std::unique_ptr<Summary>> staged(shards_.size());
-  const Summary& reference = *shards_[0]->summary;
-  for (const ShardFrame& frame : frames) {
-    if (frame.shard >= shards_.size()) {
-      return Status::InvalidArgument(
-          "frame for shard " + std::to_string(frame.shard) + " of a " +
-          std::to_string(shards_.size()) + "-shard engine");
-    }
-    std::unique_ptr<Summary>& slot = staged[frame.shard];
-    Status s;
-    std::unique_ptr<Summary> next;
-    if (frame.delta) {
-      std::vector<uint8_t> base;
-      s = SaveSummary(slot != nullptr ? *slot : *shards_[frame.shard]->summary,
-                      &base);
-      if (s.ok()) next = LoadSummary(base, &s);
-      if (next != nullptr) s = ApplySummaryDelta(frame.bytes, next.get());
-    } else {
-      next = LoadSummary(frame.bytes, &s);
-    }
-    if (!s.ok()) return s;
-    if (next->Name() != reference.Name() ||
-        !(next->Options() == reference.Options())) {
-      return Status::Corruption(
-          "frame for shard " + std::to_string(frame.shard) + " holds '" +
-          std::string(next->Name()) + "' built with different options or "
-          "seed than this engine's '" + std::string(reference.Name()) + "'");
-    }
-    slot = std::move(next);
-  }
+  // Stage the round off to the side; nothing live changes until every
+  // frame decoded and the resulting shard set validated, so a refused
+  // frame leaves the engine at the previous committed round.
   std::vector<const Summary*> views;
+  for (const auto& shard : shards_) views.push_back(shard->summary.get());
+  std::vector<std::unique_ptr<Summary>> staged(shards_.size());
+  Status valid = StageFrames(frames, views, &staged);
+  if (!valid.ok()) return valid;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    views.push_back(staged[s] != nullptr ? staged[s].get()
-                                         : shards_[s]->summary.get());
+    if (staged[s] != nullptr) views[s] = staged[s].get();
   }
   uint64_t rotations = 0;
-  const Status valid = ValidateShardSet(views, &rotations);
+  valid = ValidateShardSet(views, *shards_[0]->summary, &rotations);
   if (!valid.ok()) return valid;
   // Commit.  The frame-fed engine has no producers, so slot 0's enqueued
   // counter absorbs the clock change (u64 wrap handles a shrink) and the

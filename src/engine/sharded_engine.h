@@ -346,10 +346,14 @@ class ShardedEngine {
                        std::vector<ShardFrame>* frames,
                        uint64_t* total_applied);
 
-  /// Builds a frame-fed engine (a replica) from a cold round: exactly
-  /// one full frame per shard in [0, num_shards), as CaptureFrames emits
-  /// against empty baselines.  The shard set passes Restore's validation
-  /// (same structure, options and seed on every shard; windows aligned on
+  /// Builds a frame-fed engine (a replica) from a cold round: for every
+  /// shard in [0, num_shards), a full frame, optionally followed by delta
+  /// frames that chain onto it, decoded in order.  CaptureFrames against
+  /// empty baselines emits the plain case; Restore feeds each checkpoint
+  /// chain through here.  A round that leaves a shard without state, a
+  /// delta with no full frame before it, or zero shards is refused.  The
+  /// shard set must pass the same validation as ApplyFrames (same
+  /// structure, options and seed on every shard; windows aligned on
   /// rotations); `exec` supplies only the execution knobs, as for
   /// Restore.  Returns nullptr with the reason in *status otherwise.
   static std::unique_ptr<ShardedEngine> FromFrames(
@@ -358,14 +362,15 @@ class ShardedEngine {
 
   /// The inverse of CaptureFrames: commits one round of frames (full
   /// snapshot or delta containers; frames for the same shard apply in
-  /// order) as ONE atomic step under the state mutex.  Every
-  /// frame is decoded off to the side first — a delta onto a copy of the
-  /// shard — and the resulting shard set must pass the same validation as
-  /// FromFrames, so a refused round (Corruption, InvalidArgument) leaves
-  /// the engine exactly at its previous committed round and a query never
-  /// sees shards of two rounds.  Safe from any thread concurrently with
-  /// queries; meant for frame-fed engines, which have no producers (the
-  /// frames replace shard state wholesale).
+  /// order) as ONE atomic step under the state mutex.  Every frame goes
+  /// through the same decoder as FromFrames and is staged off to the side
+  /// (a delta onto a copy of the shard), and the resulting shard set must
+  /// match this engine's shard 0 in structure, options and seed and pass
+  /// FromFrames' validation.  A refused round (Corruption,
+  /// InvalidArgument) leaves the engine exactly at its previous committed
+  /// round and a query never sees shards of two rounds.  Safe from any
+  /// thread concurrently with queries; meant for frame-fed engines, which
+  /// have no producers (the frames replace shard state wholesale).
   Status ApplyFrames(const std::vector<ShardFrame>& frames);
 
   /// Rebuilds an engine from a Checkpoint directory and resumes ingestion
@@ -377,7 +382,11 @@ class ShardedEngine {
   /// missing, truncated, or corrupt, Restore falls back to the previous
   /// complete generation, so a crash mid-checkpoint (or a stale manifest
   /// over a lost delta) costs at most one checkpoint of progress, never
-  /// the directory.  `exec` supplies only the execution knobs
+  /// the directory.  Each shard's chain (full file, then deltas) is read
+  /// as frames and decoded by FromFrames, the same path as a replica's
+  /// cold round; the built engine must then match the manifest's
+  /// algorithm and per-shard item and rotation clocks, or the generation
+  /// is Corruption.  `exec` supplies only the execution knobs
   /// (num_threads, queue_capacity, drain_batch, max_producers); its
   /// algorithm/summary/num_shards fields are ignored in favor of the
   /// checkpoint's.  Returns nullptr with the reason in *status when no
@@ -509,15 +518,12 @@ class ShardedEngine {
   // newest on-disk manifest (when `incremental`), write the changed
   // files, seal the new generation with its manifest, prune old ones.
   Status WriteCheckpoint(const std::string& dir, bool incremental);
-  // One restore attempt against generation `generation` of `dir`; Restore
-  // walks generations newest-first until one succeeds.
+  // One restore attempt against generation `generation` of `dir`: reads
+  // every chain as frames, builds the engine with FromFrames, and checks
+  // it against the manifest.  Restore walks generations newest-first
+  // until one succeeds.
   static std::unique_ptr<ShardedEngine> RestoreGeneration(
       const std::string& dir, uint64_t generation,
-      const ShardedEngineOptions& exec, Status* status);
-  // Validates a decoded shard set (Restore and FromFrames) and builds the
-  // engine around it, clocks preset from the shards' item counts.
-  static std::unique_ptr<ShardedEngine> FromSummaries(
-      std::vector<std::unique_ptr<Summary>> loaded,
       const ShardedEngineOptions& exec, Status* status);
 
   ShardedEngineOptions options_;

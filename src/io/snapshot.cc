@@ -232,13 +232,6 @@ Status ReadSnapshotInfo(std::span<const uint8_t> bytes, SnapshotInfo* info) {
   return ParseContainer(bytes, info, &words, &reader);
 }
 
-Status ReadSnapshotInfoFromFile(const std::string& path, SnapshotInfo* info) {
-  std::vector<uint8_t> bytes;
-  const Status s = ReadFileBytes(path, &bytes);
-  if (!s.ok()) return s;
-  return ReadSnapshotInfo(bytes, info);
-}
-
 std::unique_ptr<Summary> LoadSummary(std::span<const uint8_t> bytes,
                                      Status* status) {
   Status local;
@@ -336,16 +329,6 @@ Status SaveSummaryDelta(const Summary& summary, uint64_t base_rotations,
   return Status::Ok();
 }
 
-Status SaveSummaryDeltaToFile(const Summary& summary,
-                              uint64_t base_rotations, uint64_t base_items,
-                              const std::string& path) {
-  std::vector<uint8_t> bytes;
-  const Status s =
-      SaveSummaryDelta(summary, base_rotations, base_items, &bytes);
-  if (!s.ok()) return s;
-  return DurableWriteFile(path, bytes);
-}
-
 Status ApplySummaryDelta(std::span<const uint8_t> bytes, Summary* target) {
   if (target == nullptr) {
     return Status::InvalidArgument("delta target is null");
@@ -375,14 +358,7 @@ Status ApplySummaryDelta(std::span<const uint8_t> bytes, Summary* target) {
     return Status::Corruption("delta is for '" + name + "' but target is '" +
                               std::string(target->Name()) + "'");
   }
-  const SummaryOptions target_opt = target->Options();
-  if (options.epsilon != target_opt.epsilon || options.phi != target_opt.phi ||
-      options.delta != target_opt.delta ||
-      options.universe_size != target_opt.universe_size ||
-      options.stream_length != target_opt.stream_length ||
-      options.seed != target_opt.seed ||
-      options.window_size != target_opt.window_size ||
-      options.window_buckets != target_opt.window_buckets) {
+  if (!(options == target->Options())) {
     return Status::Corruption(
         "delta options do not match the target summary (different "
         "construction parameters or seed)");
@@ -403,13 +379,6 @@ Status ApplySummaryDelta(std::span<const uint8_t> bytes, Summary* target) {
         " trailing bits after the bucket tail");
   }
   return Status::Ok();
-}
-
-Status ApplySummaryDeltaFromFile(const std::string& path, Summary* target) {
-  std::vector<uint8_t> bytes;
-  const Status s = ReadFileBytes(path, &bytes);
-  if (!s.ok()) return s;
-  return ApplySummaryDelta(bytes, target);
 }
 
 // ---- Grouped snapshots --------------------------------------------------
@@ -478,16 +447,6 @@ std::unique_ptr<GroupedSummary> LoadGrouped(std::span<const uint8_t> bytes,
   }
   out_status = Status::Ok();
   return grouped;
-}
-
-std::unique_ptr<GroupedSummary> LoadGroupedFromFile(const std::string& path,
-                                                    Status* status) {
-  Status local;
-  Status& out_status = status != nullptr ? *status : local;
-  std::vector<uint8_t> bytes;
-  out_status = ReadFileBytes(path, &bytes);
-  if (!out_status.ok()) return nullptr;
-  return LoadGrouped(bytes, status);
 }
 
 }  // namespace l1hh

@@ -47,7 +47,7 @@ namespace l1hh {
 inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /// Header fields of a snapshot, readable without reconstructing the
-/// summary (used by ShardedEngine::Restore and `l1hh_cli load`).
+/// summary (used by `l1hh_cli load`).
 struct SnapshotInfo {
   std::string algorithm;          // registry name, e.g. "bdw_optimal"
   SummaryOptions options;         // construction options incl. seed
@@ -70,7 +70,6 @@ Status SaveSummaryToFile(const Summary& summary, const std::string& path);
 /// Parses and validates a container header (magic, version, CRC, length
 /// consistency) without touching the payload.
 Status ReadSnapshotInfo(std::span<const uint8_t> bytes, SnapshotInfo* info);
-Status ReadSnapshotInfoFromFile(const std::string& path, SnapshotInfo* info);
 
 /// Reconstructs the summary a container describes: validates the header,
 /// creates the registered algorithm from the embedded options, and
@@ -110,14 +109,10 @@ inline constexpr uint32_t kDeltaFormatVersion = 1;
 /// the whole ring (write a full snapshot instead).
 Status SaveSummaryDelta(const Summary& summary, uint64_t base_rotations,
                         uint64_t base_items, std::vector<uint8_t>* out);
-Status SaveSummaryDeltaToFile(const Summary& summary,
-                              uint64_t base_rotations, uint64_t base_items,
-                              const std::string& path);
 
 /// Applies a delta container onto `target`, which must be the exact base
 /// state the delta was computed against.
 Status ApplySummaryDelta(std::span<const uint8_t> bytes, Summary* target);
-Status ApplySummaryDeltaFromFile(const std::string& path, Summary* target);
 
 // ---- Grouped snapshots (src/group/grouped_summary.h) -------------------
 //
@@ -158,8 +153,6 @@ Status SaveGroupedToFile(const GroupedSummary& grouped,
 /// random sequences).  Returns nullptr with the reason in *status.
 std::unique_ptr<GroupedSummary> LoadGrouped(std::span<const uint8_t> bytes,
                                             Status* status = nullptr);
-std::unique_ptr<GroupedSummary> LoadGroupedFromFile(const std::string& path,
-                                                    Status* status = nullptr);
 
 }  // namespace l1hh
 

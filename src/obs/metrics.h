@@ -76,10 +76,7 @@ class FloatGauge {
   std::atomic<double> v_{0.0};
 };
 
-// Point-in-time signed value. Set/Add are relaxed; SetMax is a
-// load-compare-store intended for single-writer high-water tracking (e.g.
-// a shard's owning worker) — racing writers may lose an update, never
-// corrupt the value.
+// Point-in-time signed value. Set/Add are relaxed.
 class Gauge {
  public:
   void Set(int64_t v) {
@@ -89,11 +86,6 @@ class Gauge {
   void Add(int64_t d) {
     if (!Enabled()) return;
     v_.fetch_add(d, std::memory_order_relaxed);
-  }
-  void SetMax(int64_t v) {
-    if (!Enabled()) return;
-    if (v > v_.load(std::memory_order_relaxed))
-      v_.store(v, std::memory_order_relaxed);
   }
   int64_t Value() const { return v_.load(std::memory_order_relaxed); }
   void ResetForTest() { v_.store(0, std::memory_order_relaxed); }

@@ -145,71 +145,18 @@ inline SummaryRunResult RunRegisteredSummary(
   return r;
 }
 
-/// The same contract run driven through the ShardedEngine: ingest via the
-/// per-shard rings, flush, and score the merged report.  `update_ns`
-/// covers ingest + flush, i.e. end-to-end wall clock per item.
-inline SummaryRunResult RunShardedSummary(
+/// Shared body of RunShardedSummary (`num_producers` == 0: the caller's
+/// thread feeds the stream through slot 0) and RunMultiProducerSummary.
+/// Windowed algorithms are refused only when producers race: the window
+/// would then cover a nondeterministic interleaving, so no deterministic
+/// suffix could be scored.
+inline SummaryRunResult RunEngineSummary(
     const std::string& name, const SummaryOptions& options,
     const std::vector<uint64_t>& stream, double phi, size_t num_shards,
-    size_t num_threads = 0,
-    std::unique_ptr<ShardedEngine>* keep = nullptr) {
+    size_t num_producers, size_t num_threads,
+    std::unique_ptr<ShardedEngine>* keep) {
   SummaryRunResult r;
-  ShardedEngineOptions engine_options;
-  engine_options.algorithm = name;
-  engine_options.summary = options;
-  engine_options.num_shards = num_shards;
-  engine_options.num_threads = num_threads;
-  Status status;
-  auto engine = ShardedEngine::Create(engine_options, &status);
-  if (engine == nullptr) {
-    r.error = status.ToString();
-    return r;
-  }
-  r.ok = true;
-
-  const auto start = std::chrono::steady_clock::now();
-  engine->UpdateBatch(stream);
-  engine->Flush();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  r.update_ns =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()) /
-      static_cast<double>(stream.empty() ? 1 : stream.size());
-
-  r.report = engine->HeavyHitters(phi);
-  // MergedView is the engine-wide summary the report came from; for a
-  // windowed engine it is the merged ring, whose coverage is the global
-  // window (the shard rings rotate on the global clock).
-  ScoreSummaryReport(r, ScoringSpan(r, engine->MergedView(), stream), phi,
-                     options.epsilon);
-  r.memory_bytes = engine->MemoryUsageBytes();
-  if (keep != nullptr) *keep = std::move(engine);
-  return r;
-}
-
-/// The same contract run ingested by `num_producers` CONCURRENT producer
-/// threads through the engine's K x P ring grid: the stream is split into
-/// contiguous chunks, each chunk is fed by its own RegisterProducer
-/// handle on its own thread, and the merged report is scored exactly like
-/// the single-producer paths (the multiset reaching each shard is
-/// identical, so every structure's (eps, phi) contract must survive the
-/// interleaving).  `update_ns` covers spawn + ingest + join + flush.
-/// Refuses windowed algorithms: with racing producers the window covers a
-/// nondeterministic interleaving, so no deterministic suffix can be
-/// scored (tests/windowed_conformance_test.cc drives that case with
-/// coordinated producers instead).
-inline SummaryRunResult RunMultiProducerSummary(
-    const std::string& name, const SummaryOptions& options,
-    const std::vector<uint64_t>& stream, double phi, size_t num_shards,
-    size_t num_producers, size_t num_threads = 0,
-    std::unique_ptr<ShardedEngine>* keep = nullptr) {
-  SummaryRunResult r;
-  if (num_producers == 0) {
-    r.error = "num_producers must be >= 1";
-    return r;
-  }
-  if (IsWindowedSummaryName(name)) {
+  if (num_producers > 0 && IsWindowedSummaryName(name)) {
     r.error = "windowed summaries have no deterministic multi-producer "
               "scoring span";
     return r;
@@ -228,7 +175,9 @@ inline SummaryRunResult RunMultiProducerSummary(
   }
 
   const auto start = std::chrono::steady_clock::now();
-  {
+  if (num_producers == 0) {
+    engine->UpdateBatch(stream);
+  } else {
     std::vector<std::thread> threads;
     threads.reserve(num_producers);
     const size_t base = stream.size() / num_producers;
@@ -262,10 +211,49 @@ inline SummaryRunResult RunMultiProducerSummary(
       static_cast<double>(stream.empty() ? 1 : stream.size());
 
   r.report = engine->HeavyHitters(phi);
-  ScoreSummaryReport(r, stream, phi, options.epsilon);
+  // MergedView is the engine-wide summary the report came from; for a
+  // windowed engine it is the merged ring, whose coverage is the global
+  // window (the shard rings rotate on the global clock).
+  ScoreSummaryReport(r, ScoringSpan(r, engine->MergedView(), stream), phi,
+                     options.epsilon);
   r.memory_bytes = engine->MemoryUsageBytes();
   if (keep != nullptr) *keep = std::move(engine);
   return r;
+}
+
+/// The same contract run driven through the ShardedEngine: ingest via the
+/// per-shard rings, flush, and score the merged report.  `update_ns`
+/// covers ingest + flush, i.e. end-to-end wall clock per item.
+inline SummaryRunResult RunShardedSummary(
+    const std::string& name, const SummaryOptions& options,
+    const std::vector<uint64_t>& stream, double phi, size_t num_shards,
+    size_t num_threads = 0,
+    std::unique_ptr<ShardedEngine>* keep = nullptr) {
+  return RunEngineSummary(name, options, stream, phi, num_shards,
+                          /*num_producers=*/0, num_threads, keep);
+}
+
+/// The same contract run ingested by `num_producers` CONCURRENT producer
+/// threads through the engine's K x P ring grid: the stream is split into
+/// contiguous chunks, each chunk is fed by its own RegisterProducer
+/// handle on its own thread, and the merged report is scored exactly like
+/// the single-producer paths (the multiset reaching each shard is
+/// identical, so every structure's (eps, phi) contract must survive the
+/// interleaving).  `update_ns` covers spawn + ingest + join + flush.
+/// Refuses windowed algorithms (tests/windowed_conformance_test.cc drives
+/// that case with coordinated producers instead).
+inline SummaryRunResult RunMultiProducerSummary(
+    const std::string& name, const SummaryOptions& options,
+    const std::vector<uint64_t>& stream, double phi, size_t num_shards,
+    size_t num_producers, size_t num_threads = 0,
+    std::unique_ptr<ShardedEngine>* keep = nullptr) {
+  if (num_producers == 0) {
+    SummaryRunResult r;
+    r.error = "num_producers must be >= 1";
+    return r;
+  }
+  return RunEngineSummary(name, options, stream, phi, num_shards,
+                          num_producers, num_threads, keep);
 }
 
 }  // namespace l1hh

@@ -426,5 +426,27 @@ TEST(ServeTest, SlotExhaustionRefusesIngestButServesQueries) {
   EXPECT_EQ(WEXITSTATUS(wstatus), 0);
 }
 
+// The auditor's shadow counts the whole stream, so auditing a windowed
+// engine would flag phantom over-estimates.  Spelling the window in
+// --algo instead of --window must be refused the same way: exit code 2
+// from flag parsing, before any socket is bound.
+TEST(ServeTest, AuditRateRefusedForWindowedAlgo) {
+  const std::string socket_path =
+      testing::TempDir() + "/l1hh_serve_windowed_audit.sock";
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    const std::string socket_flag = "--socket=" + socket_path;
+    ::execl(L1HH_SERVE_BINARY, L1HH_SERVE_BINARY, socket_flag.c_str(),
+            "--algo=windowed:space_saving", "--m=1000", "--shards=2",
+            "--audit-rate=8", static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ASSERT_GT(pid, 0);
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  EXPECT_TRUE(WIFEXITED(wstatus));
+  EXPECT_EQ(WEXITSTATUS(wstatus), 2);
+}
+
 }  // namespace
 }  // namespace l1hh

@@ -3,11 +3,14 @@
 // `engine`: every parser the codec owns is fed seeded hostile input over
 // a socketpair, and a windowed K=2 replica is shown to move only by whole
 // rounds — a cut-off stream or a corrupt frame leaves it exactly at its
-// last committed round.
+// last committed round.  Checkpoint restore decodes through the same
+// frame path, so a restored directory must answer like a replica fed the
+// frames captured at the same points.
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -503,6 +506,109 @@ TEST(ServeWireTest, MutatedRoundsNeverTearTheReplica) {
       EXPECT_EQ(Observe(*replica, probes, false), before) << "trial " << trial;
     }
   }
+}
+
+// A cold round may carry, per shard, a full frame followed by deltas
+// chained onto it: the replica it builds answers like the primary.
+TEST(ServeWireTest, FromFramesAcceptsAFullFramePlusDeltasPerShard) {
+  auto primary = ShardedEngine::Create(WindowedOptions());
+  ASSERT_NE(primary, nullptr);
+  const auto items = MakeZipfStream(uint64_t{1} << 16, 1.2, 3600, 21);
+  const std::vector<uint64_t> probes(items.begin(), items.begin() + 64);
+  primary->UpdateBatch(
+      std::vector<uint64_t>(items.begin(), items.begin() + 2500));
+  std::vector<ShardBaseline> baselines;
+  std::vector<ShardFrame> chain = CaptureRound(*primary, &baselines).frames;
+  primary->UpdateBatch(
+      std::vector<uint64_t>(items.begin() + 2500, items.end()));
+  const ReplicationRound deltas = CaptureRound(*primary, &baselines);
+  ASSERT_EQ(deltas.frames.size(), 2u);
+  for (const ShardFrame& frame : deltas.frames) {
+    ASSERT_TRUE(frame.delta);
+    chain.push_back(frame);
+  }
+
+  Status status;
+  auto replica = ShardedEngine::FromFrames(chain, 2, ReplicaExec(), &status);
+  ASSERT_NE(replica, nullptr) << status.ToString();
+  EXPECT_EQ(Observe(*replica, probes, true), Observe(*primary, probes, true));
+  EXPECT_EQ(replica->ShardItemCounts(), primary->ShardItemCounts());
+  EXPECT_EQ(replica->ItemsProcessed(), deltas.items);
+}
+
+// A delta for a shard the round gave no full frame has nothing to chain
+// onto: the round is refused and no engine is built.
+TEST(ServeWireTest, FromFramesRefusesADeltaWithNoBase) {
+  auto primary = ShardedEngine::Create(WindowedOptions());
+  ASSERT_NE(primary, nullptr);
+  const auto items = MakeZipfStream(uint64_t{1} << 16, 1.2, 3600, 23);
+  primary->UpdateBatch(
+      std::vector<uint64_t>(items.begin(), items.begin() + 2500));
+  std::vector<ShardBaseline> baselines;
+  const ReplicationRound cold = CaptureRound(*primary, &baselines);
+  primary->UpdateBatch(
+      std::vector<uint64_t>(items.begin() + 2500, items.end()));
+  const ReplicationRound deltas = CaptureRound(*primary, &baselines);
+  ASSERT_EQ(cold.frames.size(), 2u);
+  ASSERT_EQ(deltas.frames.size(), 2u);
+  ASSERT_TRUE(deltas.frames[1].delta);
+
+  Status status;
+  EXPECT_EQ(ShardedEngine::FromFrames({cold.frames[0], deltas.frames[1]}, 2,
+                                      ReplicaExec(), &status),
+            nullptr);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  // A delta ahead of its shard's full frame has no base either.
+  EXPECT_EQ(ShardedEngine::FromFrames(
+                {cold.frames[0], deltas.frames[1], cold.frames[1]}, 2,
+                ReplicaExec(), &status),
+            nullptr);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_EQ(ShardedEngine::FromFrames(deltas.frames, 2, ReplicaExec(), &status),
+            nullptr);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+}
+
+// Restore == replica: a checkpoint directory written by Checkpoint then
+// CheckpointDelta restores to exactly the engine a replica builds from
+// the frames captured at the same two points.
+TEST(ServeWireTest, RestoreAnswersLikeAReplicaOfTheSameFrames) {
+  const std::string dir = testing::TempDir() + "/restore_equals_replica";
+  std::filesystem::remove_all(dir);
+  auto primary = ShardedEngine::Create(WindowedOptions());
+  ASSERT_NE(primary, nullptr);
+  const auto items = MakeZipfStream(uint64_t{1} << 16, 1.2, 3600, 29);
+  const std::vector<uint64_t> probes(items.begin(), items.begin() + 64);
+
+  primary->UpdateBatch(
+      std::vector<uint64_t>(items.begin(), items.begin() + 2500));
+  ASSERT_TRUE(primary->Checkpoint(dir).ok());
+  std::vector<ShardBaseline> baselines;
+  const ReplicationRound cold = CaptureRound(*primary, &baselines);
+  primary->UpdateBatch(
+      std::vector<uint64_t>(items.begin() + 2500, items.end()));
+  ASSERT_TRUE(primary->CheckpointDelta(dir).ok());
+  const ReplicationRound round = CaptureRound(*primary, &baselines);
+  for (const ShardFrame& frame : round.frames) EXPECT_TRUE(frame.delta);
+  size_t delta_files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".delta") ++delta_files;
+  }
+  EXPECT_EQ(delta_files, 2u);
+
+  Status status;
+  auto restored = ShardedEngine::Restore(dir, ReplicaExec(), &status);
+  ASSERT_NE(restored, nullptr) << status.ToString();
+  auto replica =
+      ShardedEngine::FromFrames(cold.frames, 2, ReplicaExec(), &status);
+  ASSERT_NE(replica, nullptr) << status.ToString();
+  ASSERT_TRUE(replica->ApplyFrames(round.frames).ok());
+
+  const Observed seen = Observe(*restored, probes, true);
+  EXPECT_EQ(seen, Observe(*replica, probes, true));
+  EXPECT_EQ(restored->ShardItemCounts(), replica->ShardItemCounts());
+  EXPECT_EQ(seen, Observe(*primary, probes, true));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -84,6 +84,7 @@
 #include "io/snapshot.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
+#include "serve/server.h"
 #include "stream/stream_generator.h"
 #include "summary/evaluation.h"
 #include "summary/summary.h"
@@ -305,6 +306,12 @@ bool Parse(int argc, char** argv, Args* out) {
   }
   if (out->shards == 0) {
     std::fprintf(stderr, "--shards must be >= 1\n");
+    return false;
+  }
+  // The stream generators draw from a universe of n items; an empty one
+  // has nothing to draw.
+  if (out->n == 0) {
+    std::fprintf(stderr, "--n must be >= 1\n");
     return false;
   }
   if (out->format != "text" && out->format != "json") {
@@ -992,12 +999,8 @@ int CmdRun(const Args& a) {
     obs::AccuracyAuditor auditor(audit_options);
     auditor.ObserveColumn(stream.data(), stream.size());
     if (engine != nullptr) {
-      audit_report = auditor.Audit(
-          [&engine](const std::vector<uint64_t>& keys) {
-            return engine->EstimateBatch(keys);
-          },
-          [&engine](double phi) { return engine->HeavyHitters(phi); },
-          engine->ItemsProcessed());
+      audit_report =
+          serve::AuditEngine(auditor, *engine, engine->ItemsProcessed());
     } else {
       audit_report = auditor.AuditSummary(*summary);
     }

@@ -22,8 +22,9 @@
 //   * --audit-rate=R hash-samples 1/R of the key space into an exact
 //     shadow counter and audits the engine's answers against it every
 //     --audit-interval-ms (and at every /metrics scrape), publishing
-//     l1hh_audit_observed_eps_ratio et al.  Refused with --window (the
-//     shadow counts the whole stream; a window forgets).
+//     l1hh_audit_observed_eps_ratio et al.  Refused with --window or a
+//     windowed --algo (the shadow counts the whole stream; a window
+//     forgets).
 //   * --http=PORT (0 = ephemeral; the bound port is printed as
 //     "http <port>" after the readiness line) serves GET /metrics
 //     (Prometheus text exposition), /healthz, and /readyz on loopback.
@@ -193,10 +194,12 @@ bool Parse(int argc, char** argv, ServeArgs* out) {
     std::fprintf(stderr, "--http port must be <= 65535\n");
     return false;
   }
-  if (out->audit_rate != 0 && out->window != 0) {
+  if (out->audit_rate != 0 &&
+      (out->window != 0 || IsWindowedSummaryName(out->algorithm))) {
     // The shadow counts the WHOLE stream; a windowed engine forgets, so
     // every comparison would flag phantom over-estimates.
-    std::fprintf(stderr, "--audit-rate cannot be combined with --window\n");
+    std::fprintf(stderr,
+                 "--audit-rate cannot be combined with a windowed engine\n");
     return false;
   }
   if (out->window != 0 && !IsWindowedSummaryName(out->algorithm)) {
