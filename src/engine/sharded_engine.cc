@@ -308,7 +308,7 @@ Status ValidateShardSet(const std::vector<const Summary*>& shards,
   // multiplying by it could wrap u64 past this check.
   const uint64_t lazy_rotations = total == 0 ? 0 : (total - 1) / stride;
   const bool at_boundary = total != 0 && total % stride == 0;
-  // Also bound it so the global clock arithmetic in IngestWindowed
+  // Also bound it so the global clock arithmetic in UpdateColumn
   // ((bucket + 1) * stride) cannot wrap u64 (which would mis-split
   // claims and silently break rotation).
   if (lazy_rotations >= ~uint64_t{0} / stride - 1) {
@@ -383,19 +383,7 @@ ShardedEngine::Producer::~Producer() {
 }
 
 void ShardedEngine::Producer::Update(uint64_t item, uint64_t weight) {
-  const size_t shard = engine_->ShardOf(item);
-  if (!engine_->windowed()) {
-    for (uint64_t i = 0; i < weight; ++i) {
-      engine_->PushBlocking(slot_, shard, &item, 1);
-    }
-    return;
-  }
-  engine_->IngestWindowed(
-      weight, [this, shard, item](uint64_t, uint64_t count) {
-        for (uint64_t i = 0; i < count; ++i) {
-          engine_->PushBlocking(slot_, shard, &item, 1);
-        }
-      });
+  for (uint64_t i = 0; i < weight; ++i) UpdateColumn(&item, 1);
 }
 
 void ShardedEngine::Producer::UpdateBatch(std::span<const uint64_t> items) {
@@ -403,23 +391,48 @@ void ShardedEngine::Producer::UpdateBatch(std::span<const uint64_t> items) {
 }
 
 void ShardedEngine::Producer::UpdateColumn(const uint64_t* items, size_t n) {
-  if (!engine_->windowed()) {
+  ShardedEngine& e = *engine_;
+  if (!e.windowed()) {
     PartitionPush(items, n);
     return;
   }
-  // Split the slice at global bucket boundaries: each chunk is enqueued
-  // only once its bucket's rotation has fired, so shard buckets always
-  // partition the same global position range.
-  engine_->IngestWindowed(n, [this, items](uint64_t offset, uint64_t count) {
-    PartitionPush(items + offset, static_cast<size_t>(count));
-  });
+  // One fetch_add claims a contiguous global position range (bucket
+  // membership is decided by position, never by arrival order).  Each
+  // bucket's chunk is enqueued only once that bucket's rotation fired,
+  // so shard buckets always partition the same global position range.
+  const uint64_t start = e.global_pos_.fetch_add(n, std::memory_order_relaxed);
+  size_t offset = 0;
+  while (offset < n) {
+    const uint64_t pos = start + offset;
+    const uint64_t bucket = pos / e.rotation_stride_;
+    if (bucket > e.rotations_done_.load(std::memory_order_acquire)) {
+      if (pos == bucket * e.rotation_stride_) {
+        // This claim owns the bucket's first position, so it performs
+        // the lockstep rotation (lazy, matching the standalone ring: the
+        // boundary bucket stays live until the first item PAST the
+        // boundary arrives, which is this one).
+        e.RotateAtBoundary(bucket);
+      } else {
+        // Another claim owns the boundary; wait for its rotation.
+        IdleBackoff backoff;
+        while (e.rotations_done_.load(std::memory_order_acquire) < bucket) {
+          backoff.Idle();
+        }
+      }
+    }
+    const size_t take = static_cast<size_t>(std::min<uint64_t>(
+        n - offset, (bucket + 1) * e.rotation_stride_ - pos));
+    PartitionPush(items + offset, take);
+    offset += take;
+  }
 }
 
 void ShardedEngine::Producer::PartitionPush(const uint64_t* items, size_t n) {
   ShardedEngine& e = *engine_;
   const size_t num_shards = e.shards_.size();
-  if (num_shards == 1) {
-    e.PushBlocking(slot_, 0, items, n);
+  if (num_shards == 1 || n == 1) {
+    // One run: no sweep needed (ShardOf is the sweep below, one item).
+    e.PushBlocking(slot_, num_shards == 1 ? 0 : e.ShardOf(*items), items, n);
     return;
   }
   // Tile so the scratch stays cache-resident; each tile makes one
@@ -430,9 +443,8 @@ void ShardedEngine::Producer::PartitionPush(const uint64_t* items, size_t n) {
   part_starts_.assign(num_shards + 1, 0);
   part_cursors_.assign(num_shards, 0);
   // The sweep below must agree with ShardOf (Mix64 then mod) bit for
-  // bit — Update routes single items through ShardOf, and the
-  // differential tests compare the two routes' shard streams.  For
-  // power-of-two K the modulo
+  // bit — one-item slices route through ShardOf above, and queries and
+  // tests locate an item's shard with it.  For power-of-two K the modulo
   // reduces to a mask, which keeps the hot loop free of the 64-bit
   // divide and lets the compiler pipeline the mix across items.
   const bool pow2 = (num_shards & (num_shards - 1)) == 0;
@@ -777,39 +789,6 @@ void ShardedEngine::RotateAtBoundary(uint64_t bucket) {
     rotations_ctr->Inc();
     obs::Trace(obs::Severity::kDebug, "engine.rotation",
                static_cast<int64_t>(bucket), static_cast<int64_t>(waited));
-  }
-}
-
-template <typename PushFn>
-void ShardedEngine::IngestWindowed(uint64_t total, PushFn&& push) {
-  if (total == 0) return;
-  // One fetch_add claims a contiguous global position range; bucket
-  // membership is decided by position, never by arrival order.
-  const uint64_t start =
-      global_pos_.fetch_add(total, std::memory_order_relaxed);
-  uint64_t offset = 0;
-  while (offset < total) {
-    const uint64_t pos = start + offset;
-    const uint64_t bucket = pos / rotation_stride_;
-    if (bucket > rotations_done_.load(std::memory_order_acquire)) {
-      if (pos == bucket * rotation_stride_) {
-        // This claim owns the bucket's first position, so it performs
-        // the lockstep rotation (lazy, matching the standalone ring: the
-        // boundary bucket stays live until the first item PAST the
-        // boundary arrives, which is this one).
-        RotateAtBoundary(bucket);
-      } else {
-        // Another claim owns the boundary; wait for its rotation.
-        IdleBackoff backoff;
-        while (rotations_done_.load(std::memory_order_acquire) < bucket) {
-          backoff.Idle();
-        }
-      }
-    }
-    const uint64_t take =
-        std::min(total - offset, (bucket + 1) * rotation_stride_ - pos);
-    push(offset, take);
-    offset += take;
   }
 }
 

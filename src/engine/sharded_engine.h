@@ -68,12 +68,15 @@
 //     the engine; destroy a handle on its owning thread (or after
 //     joining it).
 //
+// Every item reaches a ring through one route, Producer::UpdateColumn
+// (Update is a one-item column, UpdateBatch its span spelling).
+//
 // Windowed summaries add a global rotation clock shared by all
 // producers: positions in the global stream are claimed with a single
 // fetch_add, a bucket's items may only be enqueued once every earlier
 // bucket has rotated, and the producer that claims a bucket's first
 // position performs the rotation after waiting for the global applied
-// count to reach the boundary.  See IngestWindowed below and
+// count to reach the boundary.  See Producer::UpdateColumn and
 // docs/ENGINE.md#windowed-rotation-under-p-producers.
 #ifndef L1HH_ENGINE_SHARDED_ENGINE_H_
 #define L1HH_ENGINE_SHARDED_ENGINE_H_
@@ -181,18 +184,19 @@ class ShardedEngine {
     Producer(const Producer&) = delete;
     Producer& operator=(const Producer&) = delete;
 
-    /// Enqueues `weight` occurrences of `item`; blocks only on
-    /// backpressure (this slot's ring for the owning shard full) or, for
-    /// windowed engines, on the global rotation gate.
+    /// Enqueues `weight` occurrences of `item` as `weight` one-item
+    /// columns; blocks like UpdateColumn.
     void Update(uint64_t item, uint64_t weight = 1);
 
     /// Enqueues a batch; the span spelling of UpdateColumn.
     void UpdateBatch(std::span<const uint64_t> items);
 
-    /// Columnar ingest: routes the slice with a per-batch partition pass
-    /// (tiled shard-id sweep -> counting prefix sum -> scatter into
-    /// contiguous per-shard runs, one ring push per shard per tile).
-    /// Each shard receives its items in slice order.  Blocks like Update.
+    /// Columnar ingest, the engine's one route: a per-batch partition
+    /// pass (tiled shard-id sweep -> counting prefix sum -> scatter into
+    /// contiguous per-shard runs, one ring push per shard per tile), so
+    /// each shard receives its items in slice order; windowed engines
+    /// split the slice at global bucket boundaries first.  Blocks only on
+    /// backpressure or, when windowed, on the global rotation gate.
     void UpdateColumn(const uint64_t* items, size_t n);
 
     /// This handle's slot index in [1, max_producers).
@@ -202,8 +206,8 @@ class ShardedEngine {
     friend class ShardedEngine;
     Producer(ShardedEngine* engine, size_t slot);
 
-    // The non-windowed UpdateColumn body (windowed ingest calls it per
-    // rotation chunk): partition one slice and push each shard's run.
+    // Partitions one slice (a windowed engine's: one bucket's chunk)
+    // and pushes each shard's run; the only caller of PushBlocking.
     void PartitionPush(const uint64_t* items, size_t n);
 
     ShardedEngine* engine_;
@@ -238,8 +242,7 @@ class ShardedEngine {
   std::unique_ptr<Producer> RegisterProducer(Status* status = nullptr);
 
   /// Enqueues `weight` occurrences of `item` on slot 0 (unit-weight
-  /// stream semantics, matching Summary::Update).  Blocks only on
-  /// backpressure (owning shard's slot-0 ring full).
+  /// stream semantics, matching Summary::Update) as one-item columns.
   void Update(uint64_t item, uint64_t weight = 1);
 
   /// Enqueues a batch on slot 0 (the partition-pass route, see
@@ -494,15 +497,6 @@ class ShardedEngine {
   // boundary, then rotates every shard window under state_mutex_ and
   // release-publishes rotations_done_.
   void RotateAtBoundary(uint64_t bucket);
-  // The windowed ingestion protocol, shared by every producer slot:
-  // claims `total` positions off the global clock in one fetch_add,
-  // splits them at global bucket boundaries, gates each chunk on its
-  // bucket's rotation having fired, and performs the rotations this
-  // claim owns (boundary positions).  `push(offset, count)` enqueues the
-  // next chunk.  Templated so the per-item Update path pays no closure
-  // allocation (defined in the .cc; all instantiations live there).
-  template <typename PushFn>
-  void IngestWindowed(uint64_t total, PushFn&& push);
   // Rebuilds the merge cache if stale and returns the current view.
   // Requires state_mutex_ held AND workers parked (it reads the shard
   // summaries).

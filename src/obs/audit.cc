@@ -37,23 +37,6 @@ bool AccuracyAuditor::SampledKey(uint64_t item) const {
   return Mix64(item ^ mixed_seed_) % options_.sample_rate == 0;
 }
 
-void AccuracyAuditor::Observe(uint64_t item) {
-  items_seen_.fetch_add(1, std::memory_order_relaxed);
-  if (!SampledKey(item)) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  ++sampled_items_;
-  auto it = shadow_.find(item);
-  if (it != shadow_.end()) {
-    ++it->second;
-    return;
-  }
-  if (shadow_.size() >= options_.max_shadow_keys) {
-    ++dropped_items_;
-    return;
-  }
-  shadow_.emplace(item, 1);
-}
-
 void AccuracyAuditor::ObserveColumn(const uint64_t* items, size_t n) {
   items_seen_.fetch_add(n, std::memory_order_relaxed);
   // Scan lock-free, then apply the (typically ~n/rate) hits in one

@@ -77,11 +77,11 @@ class AccuracyAuditor {
   // subspace. Cheap (one Mix64 + one modulo); no lock.
   bool SampledKey(uint64_t item) const;
 
-  // Ingest taps. Thread-safe: the non-sampled fast path is lock-free,
-  // sampled hits take the shadow mutex (once per batch for the column
-  // form). Call per item or per batch beside the real ingest.
-  void Observe(uint64_t item);
+  // Ingest tap, called per batch beside the real ingest. Thread-safe:
+  // the non-sampled scan is lock-free, sampled hits take the shadow
+  // mutex once per batch. Observe is the one-item column.
   void ObserveColumn(const uint64_t* items, size_t n);
+  void Observe(uint64_t item) { ObserveColumn(&item, 1); }
 
   // Folds `other`'s shadow into this one (shards over disjoint substreams
   // compose exactly). InvalidArgument unless seed/rate match.

@@ -197,12 +197,9 @@ bool Server::QueryVerb(const std::string& line, int fd) {
   if (heavy || estimate) {
     double phi = options_.default_phi;
     uint64_t item = 0;
-    if (heavy && line.size() > 6) {
-      phi = std::atof(line.c_str() + 6);
-      if (phi <= 0) {
-        WriteLine(fd, "err phi must be > 0");
-        return true;
-      }
+    if (heavy && line.size() > 6 && !ParsePhi(line.substr(6), &phi)) {
+      WriteLine(fd, std::string("err ") + kPhiRangeError);
+      return true;
     }
     if (estimate && !ParseU64(line.c_str() + 9, &item)) {
       WriteLine(fd, "err malformed item id in '" + line + "'");

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <sstream>
 
+#include <poll.h>
 #include <unistd.h>
 
 namespace l1hh {
@@ -101,6 +102,10 @@ bool ParseU64(const char* text, uint64_t* out) {
   return true;
 }
 
+bool ParsePhi(const std::string& text, double* phi) {
+  return ParseDouble(text, phi) && *phi > 0.0 && *phi <= 1.0;
+}
+
 bool LineReader::ReadLine(std::string* line) {
   size_t scanned = 0;  // bytes past pos_ already known to hold no newline
   while (true) {
@@ -140,6 +145,10 @@ bool LineReader::Fill() {
     buffer_.erase(0, pos_);
     pos_ = 0;
   }
+  if (before_block_) {
+    pollfd ready{fd_, POLLIN, 0};
+    if (::poll(&ready, 1, 0) != 1) before_block_();
+  }
   char chunk[4096];
   const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
   if (n < 0 && errno == EINTR) return true;
@@ -158,6 +167,7 @@ bool ReadBinPayload(LineReader& reader, uint64_t count,
   items->resize(static_cast<size_t>(count));
   if (!reader.ReadExact(reinterpret_cast<char*>(items->data()),
                         items->size() * sizeof(uint64_t))) {
+    items->clear();
     return false;
   }
   // The wire format is little-endian u64; byte-swap on a big-endian host

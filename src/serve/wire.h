@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -53,11 +54,19 @@ bool WriteLine(int fd, const std::string& line);
 /// else (a sign, leading blanks, junk, or out of range).
 bool ParseU64(const char* text, uint64_t* out);
 
+/// A heavy-hitter threshold for the `heavy <phi>` verb and every --phi
+/// flag: one finite decimal in (0, 1], nothing after it.
+bool ParsePhi(const std::string& text, double* phi);
+inline constexpr const char* kPhiRangeError = "phi must be in (0, 1]";
+
 /// Buffered reader that supports both newline framing (text requests)
 /// and exact-length reads (`bin N` payloads, replication frames).
 class LineReader {
  public:
-  explicit LineReader(int fd) : fd_(fd) {}
+  /// `before_block`, when set, runs before ReadLine waits on a socket
+  /// with no bytes ready (a connection hands on the work it staged).
+  explicit LineReader(int fd, std::function<void()> before_block = {})
+      : fd_(fd), before_block_(std::move(before_block)) {}
 
   /// Strips the trailing newline; false on EOF, on a read error, or on a
   /// line longer than kMaxLineBytes (then too_long() is true).
@@ -70,6 +79,7 @@ class LineReader {
   bool Fill();
 
   int fd_;
+  std::function<void()> before_block_;
   std::string buffer_;
   size_t pos_ = 0;
   bool too_long_ = false;
@@ -80,7 +90,7 @@ class LineReader {
 bool ParseBinHeader(const std::string& line, uint64_t* count);
 
 /// Reads the `count` little-endian u64 ids that follow a bin header into
-/// *items (host order); false on a truncated payload.
+/// *items (host order); false, with *items empty, on a truncated payload.
 bool ReadBinPayload(LineReader& reader, uint64_t count,
                     std::vector<uint64_t>* items);
 

@@ -56,11 +56,13 @@ Status Summary::LoadFrom(BitReader& in) {
 
 namespace {
 
-/// ceil(fraction * m), clamped to >= 1 so empty streams report nothing.
+/// ceil(fraction * m), clamped to >= 1 so empty streams report nothing,
+/// and saturated past u64 (NaN, inf, huge phi) so nothing is reported.
 uint64_t CeilThreshold(double fraction, uint64_t m) {
   if (fraction <= 0.0 || m == 0) return 1;
-  return std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::ceil(fraction * static_cast<double>(m))));
+  const double ceiling = std::ceil(fraction * static_cast<double>(m));
+  if (!(ceiling < 0x1p64)) return ~uint64_t{0};
+  return std::max<uint64_t>(1, static_cast<uint64_t>(ceiling));
 }
 
 /// Bits to store one id from [0, n).

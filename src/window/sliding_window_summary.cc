@@ -118,48 +118,38 @@ void SlidingWindowSummary::Rotate() {
   rotations_ctr->Inc();
 }
 
-void SlidingWindowSummary::Update(uint64_t item, uint64_t weight) {
-  if (weight == 0) return;
+template <typename Apply>
+void SlidingWindowSummary::ForEachBucketChunk(uint64_t total, Apply&& apply) {
+  if (total == 0) return;
   InvalidateCache();
-  if (external_rotation_) {
-    LiveBucket().Update(item, weight);
-    total_items_ += weight;
-    return;
-  }
-  while (weight > 0) {
-    const uint64_t fill = live_bucket_items();
-    if (fill >= bucket_width_) {
-      Rotate();
-      continue;
+  uint64_t offset = 0;
+  while (offset < total) {
+    uint64_t take = total - offset;
+    if (!external_rotation_) {
+      const uint64_t fill = live_bucket_items();
+      if (fill >= bucket_width_) {
+        Rotate();
+        continue;
+      }
+      take = std::min(take, bucket_width_ - fill);
     }
-    const uint64_t take = std::min(weight, bucket_width_ - fill);
-    LiveBucket().Update(item, take);
-    total_items_ += take;
-    weight -= take;
-  }
-}
-
-void SlidingWindowSummary::UpdateColumn(const uint64_t* items, size_t n) {
-  if (n == 0) return;
-  InvalidateCache();
-  if (external_rotation_) {
-    LiveBucket().UpdateColumn(items, n);
-    total_items_ += n;
-    return;
-  }
-  size_t offset = 0;
-  while (offset < n) {
-    const uint64_t fill = live_bucket_items();
-    if (fill >= bucket_width_) {
-      Rotate();
-      continue;
-    }
-    const size_t take = static_cast<size_t>(
-        std::min<uint64_t>(n - offset, bucket_width_ - fill));
-    LiveBucket().UpdateColumn(items + offset, take);
+    apply(offset, take);
     total_items_ += take;
     offset += take;
   }
+}
+
+void SlidingWindowSummary::Update(uint64_t item, uint64_t weight) {
+  // Weighted on the inner bucket: a linear sketch stays O(1) per update.
+  ForEachBucketChunk(weight, [&](uint64_t, uint64_t take) {
+    LiveBucket().Update(item, take);
+  });
+}
+
+void SlidingWindowSummary::UpdateColumn(const uint64_t* items, size_t n) {
+  ForEachBucketChunk(n, [&](uint64_t offset, uint64_t take) {
+    LiveBucket().UpdateColumn(items + offset, static_cast<size_t>(take));
+  });
 }
 
 const Summary& SlidingWindowSummary::MergedWindow() const {

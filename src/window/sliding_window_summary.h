@@ -190,6 +190,10 @@ class SlidingWindowSummary : public Summary {
   std::unique_ptr<Summary> MakeBucket() const;
   Summary& LiveBucket() { return *buckets_.back(); }
   const Summary& LiveBucket() const { return *buckets_.back(); }
+  /// The bucket-split loop behind Update and UpdateColumn: apply(offset,
+  /// count) per chunk of `total` items, rotating between full buckets.
+  template <typename Apply>
+  void ForEachBucketChunk(uint64_t total, Apply&& apply);
 
   /// The invalidate-on-rotate merged-view cache (the ShardedEngine
   /// merge-epoch pattern): rebuilt only when items or rotations moved

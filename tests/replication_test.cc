@@ -396,5 +396,23 @@ TEST(ReplicationTest, WindowedStandbyTailsDeltasAndSurvivesFailover) {
   ExpectExitedCleanly(replica);
 }
 
+// --phi is the replica's default for a bare `heavy`; one outside (0, 1]
+// is refused at flag parsing (exit 2), before any connection is made.
+TEST(ReplicationTest, ReplicaRefusesPhiOutsideZeroOne) {
+  for (const char* phi : {"--phi=0", "--phi=inf", "--phi=1.5", "--phi=0.1x"}) {
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      ::execl(L1HH_REPLICA_BINARY, L1HH_REPLICA_BINARY, "--primary=x",
+              "--socket=y", phi, static_cast<char*>(nullptr));
+      ::_exit(127);
+    }
+    ASSERT_GT(pid, 0);
+    int wstatus = 0;
+    ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+    EXPECT_TRUE(WIFEXITED(wstatus)) << phi;
+    EXPECT_EQ(WEXITSTATUS(wstatus), 2) << phi;
+  }
+}
+
 }  // namespace
 }  // namespace l1hh

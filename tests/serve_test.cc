@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -446,6 +448,117 @@ TEST(ServeTest, AuditRateRefusedForWindowedAlgo) {
   ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
   EXPECT_TRUE(WIFEXITED(wstatus));
   EXPECT_EQ(WEXITSTATUS(wstatus), 2);
+}
+
+// `bin <N>` plus its little-endian payload, as one request's bytes.
+std::string BinRequest(const std::vector<uint64_t>& items) {
+  std::string bytes = "bin " + std::to_string(items.size()) + "\n";
+  for (uint64_t v : items) {
+    for (int b = 0; b < 8; ++b) {
+      bytes += static_cast<char>(v & 0xff);
+      v >>= 8;
+    }
+  }
+  return bytes;
+}
+
+void ShutdownAndExpectCleanExit(Client& client, pid_t pid) {
+  client.SendLine("shutdown");
+  EXPECT_EQ(client.ReadLine(), "ok");
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  EXPECT_TRUE(WIFEXITED(wstatus));
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0);
+}
+
+// Verbs and `bin N` batches inside one run of text items, all in a single
+// write: each answer counts exactly the items sent before it, whichever
+// route (text or bin) carried them.
+TEST(ServeTest, VerbsAndBinBatchesInsideATextRunSeeEveryEarlierItem) {
+  const std::string socket_path =
+      testing::TempDir() + "/l1hh_serve_interleave.sock";
+  const pid_t pid = StartServer(socket_path, 1000);
+  ASSERT_GT(pid, 0);
+  Client client(socket_path);
+  const std::string run = "7\n7\n7\n"
+                          "estimate 7\n"
+                          "9\n7\n" +
+                          BinRequest({7, 7, 9}) +
+                          "estimate 7\n"
+                          "7\n"
+                          "heavy 0.5\n"
+                          "9\n9\n9\n9\n9\n"
+                          "flush\n"
+                          "heavy 0.4\n"
+                          "7\n"
+                          "estimate 7\n";
+  client.SendRaw(run.data(), run.size());
+  // Counts before each verb: 7 x3; 7 x4 + 9 x1 + bin(7 x2, 9 x1) = 7 x6;
+  // then 7 x7 of 9 items; then 7 x7 and 9 x7 of 14; then 7 x8.
+  const std::vector<std::string> expected = {
+      "est 7 3", "est 7 6", "hh 1", "7 7", "ok 14",
+      "hh 2",    "7 7",     "9 7",  "est 7 8"};
+  for (const std::string& want : expected) {
+    EXPECT_EQ(client.ReadLine(), want);
+  }
+  ShutdownAndExpectCleanExit(client, pid);
+}
+
+// A connection that goes idle without a verb has still handed on every
+// item it sent before it waited: another connection's flush reaches them,
+// including an item followed only by an empty line, and never a partial
+// trailing line.
+TEST(ServeTest, ItemsOfAnIdleConnectionReachOtherConnections) {
+  const std::string socket_path =
+      testing::TempDir() + "/l1hh_serve_visibility.sock";
+  const pid_t pid = StartServer(socket_path, 1000);
+  ASSERT_GT(pid, 0);
+  Client querier(socket_path);
+  const struct {
+    std::string bytes;
+    uint64_t items;
+  } cases[] = {{"5\n6", 1}, {"5\n\n", 1}, {"5\n6\n", 2}};
+  std::vector<std::unique_ptr<Client>> senders;  // stay open and idle
+  uint64_t total = 0;
+  for (const auto& c : cases) {
+    senders.push_back(std::make_unique<Client>(socket_path));
+    senders.back()->SendRaw(c.bytes.data(), c.bytes.size());
+    total += c.items;
+    const std::string want = "ok " + std::to_string(total);
+    std::string reply;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (true) {
+      querier.SendLine("flush");
+      reply = querier.ReadLine();
+      if (reply == want || std::chrono::steady_clock::now() > deadline) {
+        break;
+      }
+      ::usleep(10 * 1000);
+    }
+    EXPECT_EQ(reply, want) << "after a sender went idle on " << c.items
+                           << " complete item line(s)";
+  }
+  ShutdownAndExpectCleanExit(querier, pid);
+}
+
+// `heavy <phi>` takes one finite phi in (0, 1] and nothing else.
+TEST(ServeTest, HeavyRefusesPhiOutsideZeroOne) {
+  const std::string socket_path =
+      testing::TempDir() + "/l1hh_serve_phi.sock";
+  const pid_t pid = StartServer(socket_path, 1000);
+  ASSERT_GT(pid, 0);
+  Client client(socket_path);
+  client.SendLine("5");
+  for (const char* bad :
+       {"heavy inf", "heavy 1e30", "heavy nan", "heavy 0.1x", "heavy 0"}) {
+    client.SendLine(bad);
+    EXPECT_EQ(client.ReadLine(), "err phi must be in (0, 1]") << bad;
+  }
+  client.SendLine("heavy 1");
+  EXPECT_EQ(client.ReadLine(), "hh 1");
+  EXPECT_EQ(client.ReadLine(), "5 1");
+  ShutdownAndExpectCleanExit(client, pid);
 }
 
 }  // namespace

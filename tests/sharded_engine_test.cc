@@ -159,6 +159,30 @@ TEST(ShardedEngineTest, RoutingIsStableAndCountsAddUp) {
   }
 }
 
+// Update is a one-item column and UpdateColumn partitions whole slices;
+// both must put every item on ShardOf(item).  K = 3 takes the modulo
+// sweep, K = 4 the mask sweep.  One item id at a time, so a misrouted
+// item shows up as the wrong shard's count moving.
+TEST(ShardedEngineTest, UpdateAndUpdateColumnLandOnShardOf) {
+  const auto planted = TestStream(6000);
+  for (const size_t shards : {size_t{3}, size_t{4}}) {
+    auto engine = ShardedEngine::Create(
+        EngineOptions("exact", shards, planted.items.size()));
+    ASSERT_NE(engine, nullptr);
+    std::vector<uint64_t> expected(shards, 0);
+    for (size_t i = 0; i < 300; ++i) {
+      const uint64_t x = planted.items[i];
+      const uint64_t pair[2] = {x, x};
+      engine->Update(x);
+      engine->UpdateColumn(pair, 2);  // n > 1: the partition sweep
+      engine->Flush();
+      expected[engine->ShardOf(x)] += 3;
+      ASSERT_EQ(engine->ShardItemCounts(), expected)
+          << "K=" << shards << " item " << x;
+    }
+  }
+}
+
 TEST(ShardedEngineTest, ExactShardingMatchesGroundTruth) {
   const auto planted = TestStream();
   auto engine = ShardedEngine::Create(

@@ -142,6 +142,14 @@ TEST_P(SummaryInterfaceTest, WeightedUpdateMatchesRepeatedUpdate) {
       << GetParam();
 }
 
+// A phi past 1 asks for items above the whole stream: none.  A threshold
+// of phi * m past u64 must saturate, not wrap into "report everything".
+TEST_P(SummaryInterfaceTest, HugePhiReportsNothing) {
+  auto summary = Make();
+  summary->UpdateBatch(Stream());
+  EXPECT_TRUE(summary->HeavyHitters(1e30).empty()) << GetParam();
+}
+
 TEST_P(SummaryInterfaceTest, MemoryUsageIsPositiveAndSublinearIshForSketches) {
   auto summary = Make();
   summary->UpdateBatch(Stream());

@@ -85,6 +85,7 @@
 #include "obs/audit.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
+#include "serve/wire.h"
 #include "stream/stream_generator.h"
 #include "summary/evaluation.h"
 #include "summary/summary.h"
@@ -269,7 +270,10 @@ bool Parse(int argc, char** argv, Args* out) {
     } else if (key == "--epsilon") {
       out->epsilon = std::atof(value.c_str());
     } else if (key == "--phi") {
-      out->phi = std::atof(value.c_str());
+      if (!serve::ParsePhi(value, &out->phi)) {
+        std::fprintf(stderr, "--phi: %s\n", serve::kPhiRangeError);
+        return false;
+      }
       out->phi_given = true;
     } else if (key == "--delta") {
       out->delta = std::atof(value.c_str());
@@ -300,8 +304,8 @@ bool Parse(int argc, char** argv, Args* out) {
       return false;
     }
   }
-  if (out->epsilon <= 0 || out->phi <= 0 || out->delta <= 0) {
-    std::fprintf(stderr, "--epsilon, --phi, and --delta must be > 0\n");
+  if (out->epsilon <= 0 || out->delta <= 0) {
+    std::fprintf(stderr, "--epsilon and --delta must be > 0\n");
     return false;
   }
   if (out->shards == 0) {

@@ -97,7 +97,10 @@ bool Parse(int argc, char** argv, ReplicaArgs* out) {
     } else if (key == "--interval-ms") {
       out->interval_ms = std::strtoull(value.c_str(), nullptr, 10);
     } else if (key == "--phi") {
-      out->default_phi = std::atof(value.c_str());
+      if (!serve::ParsePhi(value, &out->default_phi)) {
+        std::fprintf(stderr, "--phi: %s\n", serve::kPhiRangeError);
+        return false;
+      }
     } else if (key == "--http") {
       out->http_enabled = true;
       out->http_port = std::strtoull(value.c_str(), nullptr, 10);

@@ -33,7 +33,7 @@
 // query verbs heavy / estimate / metrics / trace / slow / quit / shutdown
 // are the shared serving core's (src/serve/server.h); this binary adds
 //
-//   <digits>            ingest one item id (no reply — the fast path)
+//   <digits>            ingest one item id (no reply; staged per connection)
 //   bin <N>             ingest a binary batch: N little-endian u64 ids
 //                       follow the newline (no reply)
 //   flush               wait until everything this server has accepted
@@ -141,7 +141,10 @@ bool Parse(int argc, char** argv, ServeArgs* out) {
     } else if (key == "--epsilon") {
       out->epsilon = std::atof(value.c_str());
     } else if (key == "--phi") {
-      out->phi = std::atof(value.c_str());
+      if (!serve::ParsePhi(value, &out->phi)) {
+        std::fprintf(stderr, "--phi: %s\n", serve::kPhiRangeError);
+        return false;
+      }
     } else if (key == "--delta") {
       out->delta = std::atof(value.c_str());
     } else if (key == "--n") {
@@ -182,8 +185,8 @@ bool Parse(int argc, char** argv, ServeArgs* out) {
     std::fprintf(stderr, "--socket=<path> is required\n");
     return false;
   }
-  if (out->epsilon <= 0 || out->phi <= 0 || out->delta <= 0) {
-    std::fprintf(stderr, "--epsilon, --phi, and --delta must be > 0\n");
+  if (out->epsilon <= 0 || out->delta <= 0) {
+    std::fprintf(stderr, "--epsilon and --delta must be > 0\n");
     return false;
   }
   if (out->shards == 0 || out->producers == 0) {
@@ -224,6 +227,10 @@ void RunAudit(const ServeState& state) {
                      state.engine->ItemsProcessed());
 }
 
+// A connection pushes its staged items as one column at this size, before
+// any request that is not an item, and before any read that could block.
+constexpr size_t kColumnItems = 8192;
+
 // One thread per connection.  The producer slot is claimed lazily on the
 // first ingest request, so query-only clients (dashboards) never consume
 // one, and released when the connection closes.
@@ -241,11 +248,25 @@ void HandleConnection(serve::Server& server, const ServeState& state,
       obs::GetCounter("l1hh_serve_queries_total");
   connections_ctr->Inc();
   active_conns->Add(1);
-  serve::LineReader reader(fd);
   std::unique_ptr<ShardedEngine::Producer> producer;
   ShardedEngine& engine = *state.engine;
+  // Text items and `bin` payloads alike reach the engine from here, the
+  // connection's one ingest route.  Non-empty only with a producer.
+  std::vector<uint64_t> column;
+  column.reserve(kColumnItems);
+  const auto push_column = [&] {
+    if (column.empty()) return;
+    producer->UpdateColumn(column.data(), column.size());
+    if (state.auditor != nullptr) {
+      state.auditor->ObserveColumn(column.data(), column.size());
+    }
+    ingest_ctr->Inc(column.size());
+    column.clear();
+  };
+  // Pushed before the socket read can block, so every verb, on any
+  // connection, sees all this client sent before it went idle.
+  serve::LineReader reader(fd, push_column);
   std::string line;
-  std::vector<uint64_t> batch;
   // Per-connection replication baselines: what the follower on the other
   // end of THIS socket holds per shard (empty until "replicate").
   std::vector<ShardBaseline> replica_baselines;
@@ -260,20 +281,22 @@ void HandleConnection(serve::Server& server, const ServeState& state,
     return true;
   };
   while (server.NextRequest(reader, fd, &line)) {
-    if (line[0] >= '0' && line[0] <= '9') {
-      uint64_t item = 0;
-      if (!serve::ParseU64(line.c_str(), &item)) {
-        ingest_err_ctr->Inc();
-        serve::WriteLine(fd, "err malformed item id '" + line + "'");
-        continue;
-      }
+    const bool digits = line[0] >= '0' && line[0] <= '9';
+    uint64_t item = 0;
+    if (digits && serve::ParseU64(line.c_str(), &item)) {
       if (!ensure_producer()) {
         ingest_err_ctr->Inc();
         continue;
       }
-      producer->Update(item);
-      if (state.auditor != nullptr) state.auditor->Observe(item);
-      ingest_ctr->Inc();
+      column.push_back(item);
+      if (column.size() == kColumnItems) push_column();
+      continue;
+    }
+    // Anything else may reply or read a payload: staged items go first.
+    push_column();
+    if (digits) {
+      ingest_err_ctr->Inc();
+      serve::WriteLine(fd, "err malformed item id '" + line + "'");
       continue;
     }
     if (line.rfind("bin ", 0) == 0) {
@@ -284,16 +307,13 @@ void HandleConnection(serve::Server& server, const ServeState& state,
                                  "'");
         break;  // the payload length is unknown; the stream is desynced
       }
-      if (!serve::ReadBinPayload(reader, count, &batch)) break;
+      if (!serve::ReadBinPayload(reader, count, &column)) break;
       if (!ensure_producer()) {
         ingest_err_ctr->Inc();
+        column.clear();
         continue;
       }
-      producer->UpdateBatch(batch);
-      if (state.auditor != nullptr) {
-        state.auditor->ObserveColumn(batch.data(), batch.size());
-      }
-      ingest_ctr->Inc(count);
+      push_column();
       continue;
     }
     if (line == "flush") {
@@ -370,6 +390,7 @@ void HandleConnection(serve::Server& server, const ServeState& state,
     }
     if (!server.QueryVerb(line, fd)) break;
   }
+  push_column();
   active_conns->Add(-1);
   // ~Producer releases the slot for the next connection.
 }
