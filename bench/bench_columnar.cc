@@ -1,6 +1,6 @@
 // Columnar ingest throughput: the three single-thread routes per
-// algorithm, the engine's per-item scatter vs partition-pass routes, and
-// the grouped (per-key) scalar vs columnar routes.
+// algorithm, the producer-side routing kernels, and the grouped (per-key)
+// scalar vs columnar routes.
 //
 //   ./bench_columnar [m] [alpha]       (defaults: 2^20 items, 1.1)
 //
@@ -20,12 +20,6 @@
 //     contiguous hand-off per shard).  This is the headline number: the
 //     partition pass keeps the 64-bit divide out of the hot loop and
 //     replaces per-item staging bookkeeping with sequential sweeps.
-//   * engine — the same two routes through the LIVE engine (UpdateBatch
-//     vs UpdateColumn, ingest + flush).  On a single-core container the
-//     workers timeshare the producer's core, so this wall-clock is
-//     apply-bound and shows only a few percent between routes; on real
-//     hardware the producer is the bottleneck for cheap summaries and
-//     the routing-kernel gap is what scales.
 //   * grouped — GroupedSummary::UpdateColumn's run detection on a
 //     group-clustered column vs the scalar Update(group, item) loop.
 //
@@ -39,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/sharded_engine.h"
 #include "util/random.h"
 #include "group/grouped_summary.h"
 #include "stream/stream_generator.h"
@@ -178,35 +171,10 @@ int main(int argc, char** argv) {
                 partition_ns, staged_ns / partition_ns);
   }
 
-  // ---- Engine routes: per-item scatter vs partition pass ---------------
-  std::printf("\nengine K=4 (ingest + flush): per-item scatter (UpdateBatch) "
-              "vs partition pass (UpdateColumn)\n");
-  std::printf("%-20s %10s %10s %9s\n", "algorithm", "per-item", "partition",
-              "speedup");
-  for (const char* name : {"misra_gries", "space_saving", "count_min",
-                           "bdw_optimal"}) {
-    ShardedEngineOptions engine_options;
-    engine_options.algorithm = name;
-    engine_options.summary = options;
-    engine_options.num_shards = 4;
-    const double scatter_ns = MinOf3(stream.size(), [&] {
-      auto engine = ShardedEngine::Create(engine_options);
-      engine->UpdateBatch(stream);
-      engine->Flush();
-    });
-    const double partition_ns = MinOf3(stream.size(), [&] {
-      auto engine = ShardedEngine::Create(engine_options);
-      engine->UpdateColumn(stream.data(), stream.size());
-      engine->Flush();
-    });
-    std::printf("%-20s %10.1f %10.1f %8.2fx\n", name, scatter_ns,
-                partition_ns, scatter_ns / partition_ns);
-  }
-
   // ---- Grouped routes --------------------------------------------------
   // A group-clustered column (each tenant's rows arrive in runs of 64, the
   // shape a columnar scan of a sorted/partitioned table produces): run
-  // detection pays one table lookup per run instead of per row.
+  // detection pays one lookup per run instead of per row.
   constexpr uint64_t kTenants = 32;
   std::vector<uint64_t> groups(stream.size());
   for (size_t i = 0; i < stream.size(); ++i) {

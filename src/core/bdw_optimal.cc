@@ -172,6 +172,12 @@ double BdwOptimal::EstimateRep(ItemId item, size_t rep) const {
   return estimate;
 }
 
+double BdwOptimal::MedianRep(ItemId item, std::vector<double>* reps) const {
+  for (size_t j = 0; j < reps_; ++j) (*reps)[j] = EstimateRep(item, j);
+  std::nth_element(reps->begin(), reps->begin() + reps_ / 2, reps->end());
+  return (*reps)[reps_ / 2];
+}
+
 std::vector<HeavyHitter> BdwOptimal::Report() const {
   std::vector<HeavyHitter> out;
   if (sampled_ == 0) return out;
@@ -181,11 +187,7 @@ std::vector<HeavyHitter> BdwOptimal::Report() const {
                            static_cast<double>(sampled_);
   std::vector<double> reps(reps_);
   for (const auto& entry : t1_.Entries()) {
-    for (size_t j = 0; j < reps_; ++j) {
-      reps[j] = EstimateRep(entry.item, j);
-    }
-    std::nth_element(reps.begin(), reps.begin() + reps_ / 2, reps.end());
-    const double med = reps[reps_ / 2];
+    const double med = MedianRep(entry.item, &reps);
     if (med >= threshold) {
       HeavyHitter hh;
       hh.item = entry.item;
@@ -209,13 +211,9 @@ std::vector<HeavyHitter> BdwOptimal::TopK(size_t k) const {
                        static_cast<double>(sampled_);
   std::vector<double> reps(reps_);
   for (const auto& entry : t1_.Entries()) {
-    for (size_t j = 0; j < reps_; ++j) {
-      reps[j] = EstimateRep(entry.item, j);
-    }
-    std::nth_element(reps.begin(), reps.begin() + reps_ / 2, reps.end());
     HeavyHitter hh;
     hh.item = entry.item;
-    hh.estimated_count = reps[reps_ / 2] * scale;
+    hh.estimated_count = MedianRep(entry.item, &reps) * scale;
     hh.estimated_fraction =
         hh.estimated_count / static_cast<double>(opt_.stream_length);
     out.push_back(hh);
@@ -231,11 +229,9 @@ std::vector<HeavyHitter> BdwOptimal::TopK(size_t k) const {
 double BdwOptimal::EstimateCount(ItemId item) const {
   if (sampled_ == 0) return 0;
   std::vector<double> reps(reps_);
-  for (size_t j = 0; j < reps_; ++j) reps[j] = EstimateRep(item, j);
-  std::nth_element(reps.begin(), reps.begin() + reps_ / 2, reps.end());
   const double scale = static_cast<double>(opt_.stream_length) /
                        static_cast<double>(sampled_);
-  return reps[reps_ / 2] * scale;
+  return MedianRep(item, &reps) * scale;
 }
 
 size_t BdwOptimal::SpaceBits() const {

@@ -177,6 +177,9 @@ class BdwOptimal {
   /// Per-repetition estimate of the sampled-stream frequency of item's
   /// hashed id.
   double EstimateRep(ItemId item, size_t rep) const;
+  /// Median over the reps_ repetitions of EstimateRep (unscaled, in
+  /// sampled-stream units); `reps` is caller-owned scratch of size reps_.
+  double MedianRep(ItemId item, std::vector<double>* reps) const;
 
   Options opt_;
   Rng rng_;

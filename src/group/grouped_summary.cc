@@ -11,47 +11,18 @@ namespace l1hh {
 
 namespace {
 
-// Per-slot overhead a live group charges beyond its summary: the arena
-// node plus its pointer in the open-addressing table.
+// Fixed per-group charge beyond the summary, standing for the list node
+// and its index slot.  Budgets evict by this charge, so changing it
+// changes which groups a given memory_budget_bytes keeps.
 constexpr size_t kEntryOverheadBytes =
     sizeof(void*) + 2 * sizeof(void*) + 4 * sizeof(uint64_t) + sizeof(size_t);
 
-constexpr size_t kInitialSlots = 16;
-
 }  // namespace
-
-// ---- Arena ------------------------------------------------------------
-
-GroupedSummary::GroupEntry* GroupedSummary::Arena::Acquire() {
-  if (!free_list_.empty()) {
-    GroupEntry* entry = free_list_.back();
-    free_list_.pop_back();
-    return entry;
-  }
-  if (blocks_.empty() || used_in_last_block_ == kBlockEntries) {
-    blocks_.emplace_back(new GroupEntry[kBlockEntries]);
-    used_in_last_block_ = 0;
-  }
-  return &blocks_.back()[used_in_last_block_++];
-}
-
-void GroupedSummary::Arena::Release(GroupEntry* entry) {
-  // Drop the summary now (it owns real memory); the node itself stays in
-  // its block and is recycled through the free list.
-  entry->summary.reset();
-  entry->lru_prev = entry->lru_next = nullptr;
-  free_list_.push_back(entry);
-}
-
-size_t GroupedSummary::Arena::allocated_bytes() const {
-  return blocks_.size() * kBlockEntries * sizeof(GroupEntry) +
-         free_list_.capacity() * sizeof(GroupEntry*);
-}
 
 // ---- Construction -----------------------------------------------------
 
 GroupedSummary::GroupedSummary(const GroupedSummaryOptions& options)
-    : options_(options), slots_(kInitialSlots, nullptr) {}
+    : options_(options) {}
 
 GroupedSummary::~GroupedSummary() = default;
 
@@ -78,103 +49,23 @@ std::unique_ptr<Summary> GroupedSummary::MakeGroupSummary(
   return MakeSummary(options_.algorithm, per_group);
 }
 
-// ---- Table ------------------------------------------------------------
-
-GroupedSummary::GroupEntry* GroupedSummary::FindEntry(uint64_t group) const {
-  const size_t mask = slots_.size() - 1;
-  size_t idx = static_cast<size_t>(Mix64(group)) & mask;
-  while (slots_[idx] != nullptr) {
-    GroupEntry* slot = slots_[idx];
-    if (slot != Tombstone() && slot->key == group) return slot;
-    idx = (idx + 1) & mask;
-  }
-  return nullptr;
-}
-
-void GroupedSummary::InsertSlot(GroupEntry* entry) {
-  const size_t mask = slots_.size() - 1;
-  size_t idx = static_cast<size_t>(Mix64(entry->key)) & mask;
-  while (IsLive(slots_[idx])) idx = (idx + 1) & mask;
-  if (slots_[idx] == Tombstone()) --tombstones_;
-  slots_[idx] = entry;
-}
-
-void GroupedSummary::MaybeGrowTable() {
-  // Rehash when live + tombstones pass 70% load; tombstones are dropped
-  // by the rebuild, so heavy eviction churn cannot degrade probes.
-  if ((live_ + tombstones_ + 1) * 10 <= slots_.size() * 7) return;
-  std::vector<GroupEntry*> old = std::move(slots_);
-  size_t capacity = std::max(kInitialSlots, old.size());
-  if (live_ * 10 > capacity * 5) capacity *= 2;
-  slots_.assign(capacity, nullptr);
-  tombstones_ = 0;
-  for (GroupEntry* slot : old) {
-    if (IsLive(slot)) InsertSlot(slot);
-  }
-}
+// ---- Index and recency ------------------------------------------------
 
 GroupedSummary::GroupEntry* GroupedSummary::CreateEntry(uint64_t group,
                                                         bool at_tail) {
-  MaybeGrowTable();
-  GroupEntry* entry = arena_.Acquire();
-  entry->key = group;
-  entry->summary = MakeGroupSummary(group);
-  entry->items = 0;
-  entry->uncharged_items = 0;
-  entry->charged_bytes = 0;
-  entry->lru_prev = entry->lru_next = nullptr;
-  InsertSlot(entry);
-  ++live_;
-  if (at_tail) {
-    LinkTail(entry);
-  } else {
-    LinkHead(entry);
-  }
-  RefreshCharge(entry);
-  return entry;
+  const auto it = lru_.emplace(at_tail ? lru_.end() : lru_.begin());
+  it->key = group;
+  it->summary = MakeGroupSummary(group);
+  index_.emplace(group, it);
+  RefreshCharge(&*it);
+  return &*it;
 }
 
 GroupedSummary::GroupEntry* GroupedSummary::FindOrCreate(uint64_t group) {
-  GroupEntry* entry = FindEntry(group);
-  return entry != nullptr ? entry : CreateEntry(group, /*at_tail=*/false);
-}
-
-// ---- LRU --------------------------------------------------------------
-
-void GroupedSummary::LinkHead(GroupEntry* entry) {
-  entry->lru_prev = nullptr;
-  entry->lru_next = lru_head_;
-  if (lru_head_ != nullptr) lru_head_->lru_prev = entry;
-  lru_head_ = entry;
-  if (lru_tail_ == nullptr) lru_tail_ = entry;
-}
-
-void GroupedSummary::LinkTail(GroupEntry* entry) {
-  entry->lru_next = nullptr;
-  entry->lru_prev = lru_tail_;
-  if (lru_tail_ != nullptr) lru_tail_->lru_next = entry;
-  lru_tail_ = entry;
-  if (lru_head_ == nullptr) lru_head_ = entry;
-}
-
-void GroupedSummary::Unlink(GroupEntry* entry) {
-  if (entry->lru_prev != nullptr) {
-    entry->lru_prev->lru_next = entry->lru_next;
-  } else {
-    lru_head_ = entry->lru_next;
-  }
-  if (entry->lru_next != nullptr) {
-    entry->lru_next->lru_prev = entry->lru_prev;
-  } else {
-    lru_tail_ = entry->lru_prev;
-  }
-  entry->lru_prev = entry->lru_next = nullptr;
-}
-
-void GroupedSummary::MoveToHead(GroupEntry* entry) {
-  if (lru_head_ == entry) return;
-  Unlink(entry);
-  LinkHead(entry);
+  const auto it = index_.find(group);
+  if (it == index_.end()) return CreateEntry(group, /*at_tail=*/false);
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return &*it->second;
 }
 
 // ---- Budget -----------------------------------------------------------
@@ -191,74 +82,62 @@ void GroupedSummary::AfterIngest(GroupEntry* entry, uint64_t n) {
   items_processed_ += n;
   entry->items += n;
   entry->uncharged_items += n;
-  MoveToHead(entry);
   if (entry->uncharged_items >= kChargeInterval) RefreshCharge(entry);
   EnforceBudget();
 }
 
 void GroupedSummary::EnforceBudget() {
-  while (options_.max_groups > 0 && live_ > options_.max_groups) {
+  while (options_.max_groups > 0 && lru_.size() > options_.max_groups) {
     EvictTail();
   }
-  // Never evict the last group: the just-updated entry is at the head,
+  // Never evict the last group: the just-updated entry is at the front,
   // and a budget smaller than one summary would otherwise thrash.
-  while (options_.memory_budget_bytes > 0 && live_ > 1 &&
+  while (options_.memory_budget_bytes > 0 && lru_.size() > 1 &&
          charged_bytes_ > options_.memory_budget_bytes) {
     EvictTail();
   }
 }
 
 void GroupedSummary::EvictTail() {
-  GroupEntry* victim = lru_tail_;
-  if (victim == nullptr) return;
-  // Tombstone the slot (probe chains through it must stay intact).
-  const size_t mask = slots_.size() - 1;
-  size_t idx = static_cast<size_t>(Mix64(victim->key)) & mask;
-  while (slots_[idx] != victim) idx = (idx + 1) & mask;
-  slots_[idx] = Tombstone();
-  ++tombstones_;
-  Unlink(victim);
-  charged_bytes_ -= victim->charged_bytes;
+  if (lru_.empty()) return;
+  const GroupEntry& victim = lru_.back();
+  charged_bytes_ -= victim.charged_bytes;
   ++evicted_groups_;
-  evicted_items_ += victim->items;
-  --live_;
+  evicted_items_ += victim.items;
   // Eviction pressure is the signal operators watch for an undersized
   // budget; counted live (not just published at scrape time).
   obs::GetCounter("l1hh_group_evictions_total")->Inc();
-  obs::GetCounter("l1hh_group_evicted_items_total")->Inc(victim->items);
+  obs::GetCounter("l1hh_group_evicted_items_total")->Inc(victim.items);
   obs::Trace(obs::Severity::kDebug, "group.evict",
-             static_cast<int64_t>(victim->key),
-             static_cast<int64_t>(victim->items));
-  arena_.Release(victim);
+             static_cast<int64_t>(victim.key),
+             static_cast<int64_t>(victim.items));
+  index_.erase(victim.key);
+  lru_.pop_back();
 }
 
 void GroupedSummary::PublishMetrics() const {
   obs::GetGauge("l1hh_group_live_groups")
-      ->Set(static_cast<int64_t>(live_));
+      ->Set(static_cast<int64_t>(lru_.size()));
   obs::GetGauge("l1hh_group_charged_bytes")
       ->Set(static_cast<int64_t>(charged_bytes_));
   obs::GetGauge("l1hh_group_arena_bytes")
-      ->Set(static_cast<int64_t>(arena_.allocated_bytes()));
+      ->Set(static_cast<int64_t>(NodeBytes()));
   obs::GetCounter("l1hh_group_items_total")
       ->Inc(items_processed_ - published_items_);
   published_items_ = items_processed_;
 }
 
 void GroupedSummary::Clear() {
-  while (lru_tail_ != nullptr) {
-    GroupEntry* victim = lru_tail_;
-    Unlink(victim);
-    arena_.Release(victim);
-  }
-  slots_.assign(kInitialSlots, nullptr);
-  live_ = 0;
-  tombstones_ = 0;
+  lru_.clear();
+  index_.clear();
   charged_bytes_ = 0;
 }
 
 // ---- Ingest -----------------------------------------------------------
 
 void GroupedSummary::Update(uint64_t group, uint64_t item) {
+  // Not UpdateColumn(&group, &item, 1): a one-row inner UpdateColumn
+  // costs count_min's tiled pre-pass on every scalar row.
   GroupEntry* entry = FindOrCreate(group);
   entry->summary->Update(item, 1);
   AfterIngest(entry, 1);
@@ -283,8 +162,8 @@ void GroupedSummary::UpdateColumn(const uint64_t* groups,
 // ---- Queries ----------------------------------------------------------
 
 const Summary* GroupedSummary::Find(uint64_t group) const {
-  const GroupEntry* entry = FindEntry(group);
-  return entry != nullptr ? entry->summary.get() : nullptr;
+  const auto it = index_.find(group);
+  return it != index_.end() ? it->second->summary.get() : nullptr;
 }
 
 double GroupedSummary::Estimate(uint64_t group, uint64_t item) const {
@@ -302,10 +181,8 @@ std::vector<ItemEstimate> GroupedSummary::HeavyHitters(uint64_t group,
 std::vector<GroupedSummary::GroupStats> GroupedSummary::TopGroups(
     size_t k) const {
   std::vector<GroupStats> out;
-  out.reserve(live_);
-  for (const GroupEntry* e = lru_head_; e != nullptr; e = e->lru_next) {
-    out.push_back({e->key, e->items});
-  }
+  out.reserve(lru_.size());
+  for (const GroupEntry& e : lru_) out.push_back({e.key, e.items});
   std::sort(out.begin(), out.end(),
             [](const GroupStats& a, const GroupStats& b) {
               return a.items > b.items ||
@@ -317,17 +194,22 @@ std::vector<GroupedSummary::GroupStats> GroupedSummary::TopGroups(
 
 std::vector<uint64_t> GroupedSummary::GroupKeys() const {
   std::vector<uint64_t> keys;
-  keys.reserve(live_);
-  for (const GroupEntry* e = lru_head_; e != nullptr; e = e->lru_next) {
-    keys.push_back(e->key);
-  }
+  keys.reserve(lru_.size());
+  for (const GroupEntry& e : lru_) keys.push_back(e.key);
   std::sort(keys.begin(), keys.end());
   return keys;
 }
 
+size_t GroupedSummary::NodeBytes() const {
+  // A list node carries two links; an index node carries its next link
+  // and the key/iterator pair; the index adds one pointer per bucket.
+  return lru_.size() * (sizeof(GroupEntry) + 2 * sizeof(void*)) +
+         index_.size() * (sizeof(void*) + sizeof(*index_.begin())) +
+         index_.bucket_count() * sizeof(void*);
+}
+
 size_t GroupedSummary::MemoryUsageBytes() const {
-  return charged_bytes_ + slots_.size() * sizeof(GroupEntry*) +
-         arena_.allocated_bytes();
+  return charged_bytes_ + NodeBytes();
 }
 
 // ---- Snapshot payload -------------------------------------------------
@@ -336,15 +218,15 @@ void GroupedSummary::SaveGroups(BitWriter& out) const {
   out.WriteCounter(items_processed_);
   out.WriteCounter(evicted_groups_);
   out.WriteCounter(evicted_items_);
-  out.WriteCounter(live_);
-  // MRU -> LRU: LoadGroups appends each entry at the tail, so the
+  out.WriteCounter(lru_.size());
+  // MRU -> LRU: LoadGroups appends each entry at the back, so the
   // reloaded recency order (and therefore the next eviction victim) is
   // exactly the saved one.
-  for (const GroupEntry* e = lru_head_; e != nullptr; e = e->lru_next) {
-    out.WriteU64(e->key);
-    out.WriteCounter(e->items);
+  for (const GroupEntry& e : lru_) {
+    out.WriteU64(e.key);
+    out.WriteCounter(e.items);
     BitWriter payload;
-    const Status saved = e->summary->SaveTo(payload);
+    const Status saved = e.summary->SaveTo(payload);
     if (!saved.ok()) {
       // Create() verified the algorithm; a non-snapshot structure inside
       // a grouped save surfaces as a zero-length payload that LoadGroups
@@ -380,7 +262,7 @@ Status GroupedSummary::LoadGroups(BitReader& in) {
       return Status::Corruption(
           "grouped snapshot: group payload length exceeds the container");
     }
-    if (FindEntry(key) != nullptr) {
+    if (index_.contains(key)) {
       Clear();
       return Status::Corruption(
           "grouped snapshot: duplicate group key in payload");

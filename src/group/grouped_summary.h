@@ -1,23 +1,21 @@
 // GroupedSummary — heavy hitters PER GROUP KEY, the deployment shape
 // relational engines use for aggregate states (ClickHouse's
-// AggregateFunctionAnyHeavy: column-slice add() over arena-backed
-// per-group states; see docs/GROUPED.md).  One instance monitors a whole
-// fleet — per tenant, per sensor, per route — by lazily materializing one
+// AggregateFunctionAnyHeavy: column-slice add() over per-group states;
+// see docs/GROUPED.md).  One instance monitors a whole fleet — per
+// tenant, per sensor, per route — by lazily materializing one
 // factory-made Summary per observed group key:
 //
-//   * an open-addressing group table (power-of-two, linear probing over
-//     Mix64(key), tombstones for evicted slots) maps key -> entry;
-//   * entries live in a block-chained arena with a free list, so group
-//     churn never touches the general-purpose allocator for node storage;
+//   * a std::list of entries ordered MRU -> LRU holds every live group,
+//     and a std::unordered_map indexes it by key (the textbook LRU);
 //   * every group's summary is built by MakeSummary(algorithm, options)
 //     with a seed derived deterministically from (base seed, group key),
 //     so a reloaded snapshot re-derives the exact same hash functions;
-//   * an intrusive LRU list orders groups by recency, and eviction (by
-//     group count and/or by a charged-bytes memory budget) always takes
-//     the LRU tail — evicted groups are counted, not silently forgotten;
+//   * eviction (by group count and/or by a charged-bytes memory budget)
+//     always takes the list's back, the least-recently-updated group —
+//     evicted groups are counted, not silently forgotten;
 //   * Update(group, item) is the scalar path; UpdateColumn(groups, items,
 //     n) is the columnar path, detecting runs of equal consecutive group
-//     keys so sorted/clustered columns pay one table lookup and one inner
+//     keys so sorted/clustered columns pay one lookup and one inner
 //     UpdateColumn per run.
 //
 // Snapshots: SaveGroups/LoadGroups move the complete state (totals,
@@ -34,8 +32,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "summary/summary.h"
@@ -85,7 +85,7 @@ class GroupedSummary {
   void Update(uint64_t group, uint64_t item);
 
   /// Columnar ingest: row i carries (groups[i], items[i]).  Runs of equal
-  /// consecutive group keys share one table lookup and one inner
+  /// consecutive group keys share one lookup and one inner
   /// UpdateColumn call; state-identical to the scalar Update loop.
   void UpdateColumn(const uint64_t* groups, const uint64_t* items, size_t n);
 
@@ -108,7 +108,7 @@ class GroupedSummary {
   std::vector<uint64_t> GroupKeys() const;
 
   const GroupedSummaryOptions& options() const { return options_; }
-  size_t group_count() const { return live_; }
+  size_t group_count() const { return lru_.size(); }
   /// Total items ingested, INCLUDING items whose groups were later
   /// evicted (monotonic).
   uint64_t ItemsProcessed() const { return items_processed_; }
@@ -118,13 +118,14 @@ class GroupedSummary {
   /// summary's MemoryUsageBytes (refreshed every kChargeInterval items
   /// per group, so it lags a little between refreshes).
   size_t charged_bytes() const { return charged_bytes_; }
-  /// Charged footprint plus the table and arena block overhead.
+  /// Charged footprint plus the list-node and index bytes (NodeBytes).
   size_t MemoryUsageBytes() const;
 
   /// Items a group may ingest between refreshes of its charged bytes.
   static constexpr uint64_t kChargeInterval = 1024;
 
-  /// Publishes this instance's gauges (live groups, charged/arena bytes)
+  /// Publishes this instance's gauges (live groups, charged bytes, and
+  /// NodeBytes under the historical l1hh_group_arena_bytes name)
   /// and the items-ingested delta since the last publish into the
   /// process-wide obs::Registry.  Eviction counters are maintained live
   /// (incremented inside EvictTail), so they need no publish step.
@@ -152,68 +153,32 @@ class GroupedSummary {
     uint64_t items = 0;            // ingested into this entry's lifetime
     uint64_t uncharged_items = 0;  // since the last charge refresh
     size_t charged_bytes = 0;      // this entry's share of charged_bytes_
-    GroupEntry* lru_prev = nullptr;
-    GroupEntry* lru_next = nullptr;
   };
-
-  /// Block-chained arena for group nodes: allocation bumps through
-  /// fixed-size blocks, releases go to a free list for reuse, and all
-  /// blocks are freed together at destruction.  Node storage never
-  /// returns to the general-purpose allocator mid-run.
-  class Arena {
-   public:
-    GroupEntry* Acquire();
-    void Release(GroupEntry* entry);
-    size_t allocated_bytes() const;
-
-   private:
-    static constexpr size_t kBlockEntries = 256;
-    std::vector<std::unique_ptr<GroupEntry[]>> blocks_;
-    size_t used_in_last_block_ = 0;
-    std::vector<GroupEntry*> free_list_;
-  };
+  using EntryList = std::list<GroupEntry>;
 
   explicit GroupedSummary(const GroupedSummaryOptions& options);
 
-  // Tombstone marker for table slots whose entry was evicted; probes
-  // continue past it, inserts may reuse it.
-  static GroupEntry* Tombstone() {
-    return reinterpret_cast<GroupEntry*>(uintptr_t{1});
-  }
-  static bool IsLive(const GroupEntry* slot) {
-    return slot != nullptr && slot != Tombstone();
-  }
-
-  GroupEntry* FindEntry(uint64_t group) const;
-  /// Lookup or create-at-LRU-head; the only path that grows the table.
+  /// Lookup (moving the entry to the MRU front) or create at the front.
   GroupEntry* FindOrCreate(uint64_t group);
-  /// Creates the entry (summary included) and links it where `at_tail`
-  /// says — head for live ingest, tail for LoadGroups reconstruction.
+  /// Creates the entry (summary included) at the front for live ingest,
+  /// or at the back (`at_tail`) for LoadGroups reconstruction.
   GroupEntry* CreateEntry(uint64_t group, bool at_tail);
   std::unique_ptr<Summary> MakeGroupSummary(uint64_t group) const;
 
-  void InsertSlot(GroupEntry* entry);
-  void MaybeGrowTable();
-  void LinkHead(GroupEntry* entry);
-  void LinkTail(GroupEntry* entry);
-  void Unlink(GroupEntry* entry);
-  void MoveToHead(GroupEntry* entry);
   void RefreshCharge(GroupEntry* entry);
   /// Post-ingest bookkeeping shared by Update and UpdateColumn: counts,
-  /// recency, lazy charge refresh, then budget enforcement.
+  /// lazy charge refresh, then budget enforcement.
   void AfterIngest(GroupEntry* entry, uint64_t n);
   void EnforceBudget();
   void EvictTail();
   /// Drops every live group (LoadGroups starts from a clean slate).
   void Clear();
+  /// Bytes of the list nodes and the index outside the summaries.
+  size_t NodeBytes() const;
 
   GroupedSummaryOptions options_;
-  std::vector<GroupEntry*> slots_;  // power-of-two open-addressing table
-  size_t live_ = 0;
-  size_t tombstones_ = 0;
-  Arena arena_;
-  GroupEntry* lru_head_ = nullptr;  // most recently updated
-  GroupEntry* lru_tail_ = nullptr;  // eviction victim
+  EntryList lru_;  // front = most recently updated, back = eviction victim
+  std::unordered_map<uint64_t, EntryList::iterator> index_;
   uint64_t items_processed_ = 0;
   uint64_t evicted_groups_ = 0;
   uint64_t evicted_items_ = 0;

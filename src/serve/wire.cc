@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include <poll.h>
 #include <unistd.h>
@@ -15,13 +14,6 @@
 namespace l1hh {
 namespace serve {
 namespace {
-
-std::vector<std::string> Fields(const std::string& line) {
-  std::istringstream in(line);
-  std::vector<std::string> fields;
-  for (std::string field; in >> field;) fields.push_back(std::move(field));
-  return fields;
-}
 
 bool ParseDouble(const std::string& text, double* out) {
   char* end = nullptr;
@@ -87,6 +79,19 @@ bool WriteAll(int fd, const void* data, size_t n) {
 bool WriteLine(int fd, const std::string& line) {
   const std::string framed = line + "\n";
   return WriteAll(fd, framed.data(), framed.size());
+}
+
+std::vector<std::string> Fields(const std::string& line) {
+  // The blanks `istream >> std::string` skips in the C locale.
+  constexpr const char* kBlanks = " \t\n\v\f\r";
+  std::vector<std::string> fields;
+  for (size_t at = line.find_first_not_of(kBlanks); at != std::string::npos;
+       at = line.find_first_not_of(kBlanks, at)) {
+    const size_t end = std::min(line.find_first_of(kBlanks, at), line.size());
+    fields.push_back(line.substr(at, end - at));
+    at = end;
+  }
+  return fields;
 }
 
 bool ParseU64(const char* text, uint64_t* out) {

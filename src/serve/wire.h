@@ -50,6 +50,9 @@ inline constexpr uint64_t kMaxAuditKeys = uint64_t{1} << 20;
 bool WriteAll(int fd, const void* data, size_t n);
 bool WriteLine(int fd, const std::string& line);
 
+/// The whitespace-separated fields of one text line.
+std::vector<std::string> Fields(const std::string& line);
+
 /// Decimal u64: digits, then optional trailing spaces; false for anything
 /// else (a sign, leading blanks, junk, or out of range).
 bool ParseU64(const char* text, uint64_t* out);

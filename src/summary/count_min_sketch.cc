@@ -113,24 +113,7 @@ CountMinHeavyHitters::CountMinHeavyHitters(double epsilon, double phi,
                                     /*conservative=*/false)) {}
 
 void CountMinHeavyHitters::Insert(uint64_t item) {
-  const uint64_t est = cms_.InsertAndEstimate(item);
-  const uint64_t m_so_far = cms_.items_processed();
-  if (static_cast<double>(est) >=
-      (phi_ - epsilon_ / 2) * static_cast<double>(m_so_far)) {
-    candidates_[item] = est;
-    // Prune stale candidates occasionally so the set stays O(1/phi)-ish.
-    if (candidates_.size() > 4.0 / phi_) {
-      const double threshold =
-          (phi_ - epsilon_) * static_cast<double>(m_so_far);
-      for (auto it = candidates_.begin(); it != candidates_.end();) {
-        if (static_cast<double>(cms_.Estimate(it->first)) < threshold) {
-          it = candidates_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
+  TrackCandidate(item, cms_.InsertAndEstimate(item));
 }
 
 void CountMinHeavyHitters::InsertColumn(const uint64_t* items, size_t n) {
@@ -139,23 +122,27 @@ void CountMinHeavyHitters::InsertColumn(const uint64_t* items, size_t n) {
   // re-queries the sketch) see exactly the table state the scalar Insert
   // loop would — bit-for-bit equal snapshots either way.
   cms_.InsertColumn(items, n, [&](size_t i, uint64_t est) {
-    const uint64_t m_so_far = cms_.items_processed();
-    if (static_cast<double>(est) >=
-        (phi_ - epsilon_ / 2) * static_cast<double>(m_so_far)) {
-      candidates_[items[i]] = est;
-      if (candidates_.size() > 4.0 / phi_) {
-        const double threshold =
-            (phi_ - epsilon_) * static_cast<double>(m_so_far);
-        for (auto it = candidates_.begin(); it != candidates_.end();) {
-          if (static_cast<double>(cms_.Estimate(it->first)) < threshold) {
-            it = candidates_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-    }
+    TrackCandidate(items[i], est);
   });
+}
+
+void CountMinHeavyHitters::TrackCandidate(uint64_t item, uint64_t est) {
+  const uint64_t m_so_far = cms_.items_processed();
+  if (static_cast<double>(est) <
+      (phi_ - epsilon_ / 2) * static_cast<double>(m_so_far)) {
+    return;
+  }
+  candidates_[item] = est;
+  // Prune stale candidates occasionally so the set stays O(1/phi)-ish.
+  if (candidates_.size() <= 4.0 / phi_) return;
+  const double threshold = (phi_ - epsilon_) * static_cast<double>(m_so_far);
+  for (auto it = candidates_.begin(); it != candidates_.end();) {
+    if (static_cast<double>(cms_.Estimate(it->first)) < threshold) {
+      it = candidates_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 bool CountMinHeavyHitters::Compatible(

@@ -168,6 +168,11 @@ class CountMinHeavyHitters {
   bool DeserializeFrom(BitReader& in);
 
  private:
+  /// Candidate bookkeeping for one item whose increment just landed with
+  /// estimate `est`: admit it above (phi - eps/2)·m, then prune the set
+  /// when it outgrows 4/phi.
+  void TrackCandidate(uint64_t item, uint64_t est);
+
   double phi_;
   double epsilon_;
   CountMinSketch cms_;

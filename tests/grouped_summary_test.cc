@@ -271,6 +271,31 @@ TEST(GroupedSummaryTest, MemoryBudgetEvictsUntilUnderOrOneGroup) {
   EXPECT_EQ(grouped->ItemsProcessed(), 5000u);
 }
 
+TEST(GroupedSummaryTest, ChurnKeepsFootprintBounded) {
+  // Every key is new, so every update past the 8th evicts: the footprint
+  // must track the live groups, not the keys ever seen.
+  GroupedSummaryOptions options = GroupedOptions("space_saving");
+  options.max_groups = 8;
+  auto grouped = GroupedSummary::Create(options);
+  ASSERT_NE(grouped, nullptr);
+  constexpr uint64_t kKeys = 100000;
+  size_t footprint_at_capacity = 0;
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    grouped->Update(key, key);
+    if (key == 7) footprint_at_capacity = grouped->MemoryUsageBytes();
+    if (key >= 7) {
+      ASSERT_LE(grouped->MemoryUsageBytes(), 2 * footprint_at_capacity)
+          << "after key " << key;
+    }
+  }
+  EXPECT_EQ(grouped->group_count(), 8u);
+  EXPECT_EQ(grouped->evicted_groups(), kKeys - 8);
+  EXPECT_EQ(grouped->Find(0), nullptr);
+  for (uint64_t key = kKeys - 8; key < kKeys; ++key) {
+    EXPECT_NE(grouped->Find(key), nullptr) << "key " << key;
+  }
+}
+
 // ---- Snapshots --------------------------------------------------------
 
 TEST(GroupedSummaryTest, SaveLoadContinueIsBitExact) {

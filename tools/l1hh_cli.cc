@@ -58,6 +58,8 @@
 // rejected (with a did-you-mean hint), never silently ignored.  Legacy
 // names (optimal, simple, mg, spacesaving) are accepted as --algo aliases.
 // `l1hh_cli --algo=<name>` with no command is shorthand for `run`.
+// stdin ids are whole decimal u64 fields (one per line; two for
+// --group-col); a malformed line exits 2 naming its line number.
 // With no arguments at all, runs a self-contained demo.
 //
 // Distributed workflow (docs/SNAPSHOTS.md has the worked version): N
@@ -71,6 +73,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <iterator>
 #include <string>
 #include <unordered_map>
@@ -391,14 +394,30 @@ bool Parse(int argc, char** argv, Args* out) {
   return true;
 }
 
-std::vector<uint64_t> ReadStdinItems() {
-  std::vector<uint64_t> items;
-  char line[64];
-  while (std::fgets(line, sizeof(line), stdin) != nullptr) {
-    if (line[0] == '\n' || line[0] == '#') continue;
-    items.push_back(std::strtoull(line, nullptr, 10));
+/// Reads stdin rows of exactly columns.size() decimal u64 fields
+/// (whitespace separated; blank and # lines skipped): field c of each row
+/// is appended to *columns[c].  A malformed line prints `stdin line <N>:
+/// malformed ... (want <want>)` and returns false; the caller exits 2.
+bool ReadStdinRows(const std::vector<std::vector<uint64_t>*>& columns,
+                   const char* want) {
+  std::string line;
+  std::vector<uint64_t> row(columns.size());
+  for (unsigned long long number = 1; std::getline(std::cin, line);
+       ++number) {
+    const std::vector<std::string> fields = serve::Fields(line);
+    if (fields.empty() || line[0] == '#') continue;
+    bool ok = fields.size() == columns.size();
+    for (size_t c = 0; ok && c < fields.size(); ++c) {
+      ok = serve::ParseU64(fields[c].c_str(), &row[c]);
+    }
+    if (!ok) {
+      std::fprintf(stderr, "stdin line %llu: malformed '%s' (want %s)\n",
+                   number, line.c_str(), want);
+      return false;
+    }
+    for (size_t c = 0; c < columns.size(); ++c) columns[c]->push_back(row[c]);
   }
-  return items;
+  return true;
 }
 
 /// Parallel columns, same index = same row — the shape
@@ -407,20 +426,6 @@ struct GroupedColumns {
   std::vector<uint64_t> groups;
   std::vector<uint64_t> items;
 };
-
-/// stdin lines of "group item" (whitespace separated), # and blank lines
-/// skipped — the two-column form `generate --groups=G` emits.
-GroupedColumns ReadStdinGroupedItems() {
-  GroupedColumns in;
-  char line[64];
-  while (std::fgets(line, sizeof(line), stdin) != nullptr) {
-    if (line[0] == '\n' || line[0] == '#') continue;
-    char* rest = nullptr;
-    in.groups.push_back(std::strtoull(line, &rest, 10));
-    in.items.push_back(std::strtoull(rest, nullptr, 10));
-  }
-  return in;
-}
 
 /// The multi-tenant stream shared by `generate --groups` and `run
 /// --group-col`: every tenant draws its own independently-seeded stream
@@ -532,7 +537,11 @@ int CmdHeavy(const Args& a, const std::vector<uint64_t>& items) {
 /// `heavy --group-col`: stdin is "group item" rows; one lazily-created
 /// summary per observed group key, reported group by group.
 int CmdHeavyGrouped(const Args& a) {
-  const GroupedColumns in = ReadStdinGroupedItems();
+  GroupedColumns in;
+  if (!ReadStdinRows({&in.groups, &in.items},
+                     "\"group item\": two decimal ids")) {
+    return 2;
+  }
   GroupedSummaryOptions grouped_options;
   grouped_options.algorithm = a.algorithm;
   grouped_options.summary =
@@ -1154,7 +1163,8 @@ int main(int argc, char** argv) {
   if (args.command == "heavy" && args.group_col) {
     return CmdHeavyGrouped(args);
   }
-  const std::vector<uint64_t> items = ReadStdinItems();
+  std::vector<uint64_t> items;
+  if (!ReadStdinRows({&items}, "one decimal id")) return 2;
   if (args.command == "heavy") return CmdHeavy(args, items);
   if (args.command == "save") return CmdSave(args, items);
   if (args.command == "max") return CmdMax(args, items);
