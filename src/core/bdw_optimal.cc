@@ -205,10 +205,14 @@ std::vector<HeavyHitter> BdwOptimal::Report() const {
 }
 
 std::vector<HeavyHitter> BdwOptimal::TopK(size_t k) const {
+  return TopK(k, sampled_);
+}
+
+std::vector<HeavyHitter> BdwOptimal::TopK(size_t k, uint64_t samples) const {
   std::vector<HeavyHitter> out;
-  if (sampled_ == 0) return out;
+  if (samples == 0) return out;
   const double scale = static_cast<double>(opt_.stream_length) /
-                       static_cast<double>(sampled_);
+                       static_cast<double>(samples);
   std::vector<double> reps(reps_);
   for (const auto& entry : t1_.Entries()) {
     HeavyHitter hh;
@@ -227,10 +231,14 @@ std::vector<HeavyHitter> BdwOptimal::TopK(size_t k) const {
 }
 
 double BdwOptimal::EstimateCount(ItemId item) const {
-  if (sampled_ == 0) return 0;
+  return EstimateCount(item, sampled_);
+}
+
+double BdwOptimal::EstimateCount(ItemId item, uint64_t samples) const {
+  if (samples == 0) return 0;
   std::vector<double> reps(reps_);
   const double scale = static_cast<double>(opt_.stream_length) /
-                       static_cast<double>(sampled_);
+                       static_cast<double>(samples);
   return MedianRep(item, &reps) * scale;
 }
 

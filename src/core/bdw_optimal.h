@@ -88,6 +88,14 @@ class BdwOptimal {
   /// to full-stream units.
   double EstimateCount(ItemId item) const;
 
+  /// TopK / EstimateCount rescaled by m / `samples` instead of this
+  /// sketch's own sample count: the full-stream units of a hash-
+  /// partitioned deployment whose partitions sampled `samples` items in
+  /// total (the merged sketch's normalisation).  Empty / 0 when
+  /// `samples` is 0.
+  std::vector<HeavyHitter> TopK(size_t k, uint64_t samples) const;
+  double EstimateCount(ItemId item, uint64_t samples) const;
+
   // ---- Distributed merge ----------------------------------------------
 
   /// True iff the two sketches follow the same epoch schedule and hash

@@ -79,10 +79,14 @@ std::vector<HeavyHitter> BdwSimple::Report() const {
 }
 
 std::vector<HeavyHitter> BdwSimple::TopK(size_t k) const {
+  return TopK(k, sampled_);
+}
+
+std::vector<HeavyHitter> BdwSimple::TopK(size_t k, uint64_t samples) const {
   std::vector<HeavyHitter> out;
-  if (sampled_ == 0) return out;
+  if (samples == 0) return out;
   const double scale = static_cast<double>(opt_.stream_length) /
-                       static_cast<double>(sampled_);
+                       static_cast<double>(samples);
   for (const auto& entry : table_.TopEntries()) {
     if (out.size() >= k) break;
     HeavyHitter hh;
@@ -96,9 +100,13 @@ std::vector<HeavyHitter> BdwSimple::TopK(size_t k) const {
 }
 
 double BdwSimple::EstimateCount(ItemId item) const {
-  if (sampled_ == 0) return 0;
+  return EstimateCount(item, sampled_);
+}
+
+double BdwSimple::EstimateCount(ItemId item, uint64_t samples) const {
+  if (samples == 0) return 0;
   const double scale = static_cast<double>(opt_.stream_length) /
-                       static_cast<double>(sampled_);
+                       static_cast<double>(samples);
   return static_cast<double>(table_.EstimateByHash(item)) * scale;
 }
 

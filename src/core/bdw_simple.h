@@ -58,6 +58,14 @@ class BdwSimple {
   /// Rescaled count estimate for an arbitrary item (via its hashed key).
   double EstimateCount(ItemId item) const;
 
+  /// TopK / EstimateCount rescaled by m / `samples` instead of this
+  /// sketch's own sample count: the full-stream units of a hash-
+  /// partitioned deployment whose partitions sampled `samples` items in
+  /// total (the merged sketch's normalisation).  Empty / 0 when
+  /// `samples` is 0.
+  std::vector<HeavyHitter> TopK(size_t k, uint64_t samples) const;
+  double EstimateCount(ItemId item, uint64_t samples) const;
+
   /// Distributed merge of two sketches built with the SAME options and
   /// seed (so they share the hash function and sampling rate) over
   /// disjoint substreams whose combined length is options.stream_length.

@@ -18,6 +18,14 @@ namespace {
 // Both algorithms assume the stream length m is known up front (Theorems
 // 1-2); the factory caller must set SummaryOptions::stream_length.  The
 // adapters report in full-stream units, like the underlying Report().
+// FilterTopK thresholds the rescaled estimates at (phi - eps/2) m, i.e.
+// the sampled count at (phi - eps/2) times the sample count the
+// estimates were rescaled by.  Both adapters report through the
+// partition hook: a partition's sample is a Bernoulli sample of its
+// substream at the shared rate, so a hash-partitioned deployment
+// rescales by the GLOBAL sample count (PartitionTotals::samples, as a
+// merged sketch would); a partition's own count would inflate ~K-fold.
+// A lone summary is its own only partition.
 
 std::vector<ItemEstimate> FilterTopK(const std::vector<HeavyHitter>& top,
                                      double phi, double epsilon,
@@ -57,10 +65,16 @@ class BdwSimpleSummary : public Summary {
     return impl_.EstimateCount(item);
   }
 
-  std::vector<ItemEstimate> HeavyHitters(double phi) const override {
-    return FilterTopK(impl_.TopK(static_cast<size_t>(-1)), phi,
-                      impl_.options().epsilon,
+  uint64_t PartitionSamples() const override { return impl_.samples_taken(); }
+  std::vector<ItemEstimate> PartitionHeavyHitters(
+      double phi, const PartitionTotals& totals) const override {
+    return FilterTopK(impl_.TopK(static_cast<size_t>(-1), totals.samples),
+                      phi, impl_.options().epsilon,
                       impl_.options().stream_length);
+  }
+  double PartitionEstimate(uint64_t item,
+                           const PartitionTotals& totals) const override {
+    return impl_.EstimateCount(item, totals.samples);
   }
 
   uint64_t ItemsProcessed() const override {
@@ -147,10 +161,16 @@ class BdwOptimalSummary : public Summary {
     return impl_.EstimateCount(item);
   }
 
-  std::vector<ItemEstimate> HeavyHitters(double phi) const override {
-    return FilterTopK(impl_.TopK(static_cast<size_t>(-1)), phi,
-                      impl_.options().epsilon,
+  uint64_t PartitionSamples() const override { return impl_.samples_taken(); }
+  std::vector<ItemEstimate> PartitionHeavyHitters(
+      double phi, const PartitionTotals& totals) const override {
+    return FilterTopK(impl_.TopK(static_cast<size_t>(-1), totals.samples),
+                      phi, impl_.options().epsilon,
                       impl_.options().stream_length);
+  }
+  double PartitionEstimate(uint64_t item,
+                           const PartitionTotals& totals) const override {
+    return impl_.EstimateCount(item, totals.samples);
   }
 
   uint64_t ItemsProcessed() const override {

@@ -369,6 +369,31 @@ Status StageFrames(const std::vector<ShardFrame>& frames,
   return Status::Ok();
 }
 
+// Times one pass over every shard summary — a query's partition gather
+// or MergedView's one-shot merge — as the open span's merge_rebuild
+// phase and in l1hh_engine_merge_rebuilds_total / _merge_rebuild_ns.
+class CrossShardPass {
+ public:
+  CrossShardPass()
+      : on_(obs::Enabled()), t0_(on_ ? obs::TraceRing::NowNs() : 0) {}
+  ~CrossShardPass() {
+    if (!on_) return;
+    static obs::Counter* const passes =
+        obs::GetCounter("l1hh_engine_merge_rebuilds_total");
+    static obs::Histogram* const pass_ns =
+        obs::GetHistogram("l1hh_engine_merge_rebuild_ns");
+    passes->Inc();
+    pass_ns->Observe(obs::TraceRing::NowNs() - t0_);
+  }
+  CrossShardPass(const CrossShardPass&) = delete;
+  CrossShardPass& operator=(const CrossShardPass&) = delete;
+
+ private:
+  obs::ScopedPhase phase_{"merge_rebuild"};
+  bool on_;
+  uint64_t t0_;
+};
+
 }  // namespace
 
 // ---- Producer handle --------------------------------------------------
@@ -775,9 +800,6 @@ void ShardedEngine::RotateAtBoundary(uint64_t bucket) {
     // checkpoints.
     std::lock_guard<std::mutex> lock(state_mutex_);
     for (auto* window : windows_) window->Rotate();
-    // Rotation changes state without moving the applied count; a cached
-    // merge would silently keep serving the evicted bucket.
-    merged_valid_ = false;
     // Release-publish: a producer that acquires the new count also sees
     // the rotated windows, and its subsequent ring pushes carry that
     // ordering through to the workers.
@@ -952,50 +974,53 @@ void ShardedEngine::PublishMetrics() const {
   }
 }
 
-const Summary& ShardedEngine::RebuildMergedLocked() {
-  if (shards_.size() == 1) return *shards_[0]->summary;
-  const uint64_t epoch = TotalApplied();
-  const uint64_t rotations =
-      rotations_done_.load(std::memory_order_acquire);
-  if (merged_valid_ && epoch == merged_epoch_ &&
-      rotations == merged_rotations_) {
-    return *merged_;
-  }
-  // Rebuild: a fresh empty instance absorbs every shard.  All shards were
-  // constructed from the same options/seed, so the merges cannot fail on
-  // compatibility; if one does, surface it loudly (a silent partial merge
-  // would corrupt the global report).
-  static obs::Counter* const rebuild_ctr =
-      obs::GetCounter("l1hh_engine_merge_rebuilds_total");
-  static obs::Histogram* const rebuild_hist =
-      obs::GetHistogram("l1hh_engine_merge_rebuild_ns");
-  obs::ScopedPhase phase("merge_rebuild");  // only the cache-miss branch
-  const bool obs_on = obs::Enabled();
-  const uint64_t t0 = obs_on ? obs::TraceRing::NowNs() : 0;
-  merged_ = MakeSummary(options_.algorithm, options_.summary);
+PartitionTotals ShardedEngine::PartitionTotalsLocked() const {
+  PartitionTotals totals;
   for (const auto& shard : shards_) {
-    const Status s = merged_->Merge(*shard->summary);
-    if (!s.ok()) {
-      std::fprintf(stderr, "ShardedEngine: shard merge failed: %s\n",
-                   s.ToString().c_str());
-      std::abort();
-    }
+    totals.covered_items += shard->summary->CoveredItems();
+    totals.samples += shard->summary->PartitionSamples();
   }
-  merged_epoch_ = epoch;
-  merged_rotations_ = rotations;
-  merged_valid_ = true;
-  if (obs_on) {
-    rebuild_ctr->Inc();
-    rebuild_hist->Observe(obs::TraceRing::NowNs() - t0);
-  }
-  return *merged_;
+  return totals;
 }
 
 const Summary& ShardedEngine::MergedView() {
   // LEGACY contract (see header): controller thread only, producers
   // quiescent — the returned reference is read after the workers resume.
-  return WithWorkersParked(
-      [this]() -> const Summary& { return RebuildMergedLocked(); });
+  return WithWorkersParked([this]() -> const Summary& {
+    if (shards_.size() == 1) return *shards_[0]->summary;
+    CrossShardPass pass;
+    // A fresh empty instance absorbs every shard.  All shards were
+    // constructed from the same options/seed, so the merges cannot fail
+    // on compatibility; if one does, surface it loudly (a silent partial
+    // merge would corrupt the snapshot taken from it).
+    auto merged = MakeSummary(options_.algorithm, options_.summary);
+    for (const auto& shard : shards_) {
+      const Status s = merged->Merge(*shard->summary);
+      if (!s.ok()) {
+        std::fprintf(stderr, "ShardedEngine: shard merge failed: %s\n",
+                     s.ToString().c_str());
+        std::abort();
+      }
+    }
+    if (merged_ == nullptr || !merged->SupportsSnapshot()) {
+      merged_ = std::move(merged);
+      return *merged_;
+    }
+    // Refill the existing instance through its own snapshot codec, so a
+    // reference handed out by an earlier call reads the current merge.
+    BitWriter out;
+    Status s = merged->SaveTo(out);
+    if (s.ok()) {
+      BitReader in(out);
+      s = merged_->LoadFrom(in);
+    }
+    if (!s.ok()) {
+      std::fprintf(stderr, "ShardedEngine: merged view refill failed: %s\n",
+                   s.ToString().c_str());
+      std::abort();
+    }
+    return *merged_;
+  });
 }
 
 double ShardedEngine::Estimate(uint64_t item) {
@@ -1008,11 +1033,25 @@ std::vector<double> ShardedEngine::EstimateBatch(
   // on this thread; stands alone for direct embedders.
   obs::QuerySpan span("estimate");
   return WithWorkersParked([&] {
-    const Summary& view = RebuildMergedLocked();
-    obs::ScopedPhase report("report");
     std::vector<double> estimates;
     estimates.reserve(items.size());
-    for (const uint64_t item : items) estimates.push_back(view.Estimate(item));
+    if (shards_.size() == 1) {
+      obs::ScopedPhase report("report");
+      for (const uint64_t item : items) {
+        estimates.push_back(shards_[0]->summary->Estimate(item));
+      }
+      return estimates;
+    }
+    PartitionTotals totals;
+    {
+      CrossShardPass pass;
+      totals = PartitionTotalsLocked();
+    }
+    obs::ScopedPhase report("report");
+    for (const uint64_t item : items) {
+      estimates.push_back(
+          shards_[ShardOf(item)]->summary->PartitionEstimate(item, totals));
+    }
     return estimates;
   });
 }
@@ -1020,10 +1059,30 @@ std::vector<double> ShardedEngine::EstimateBatch(
 std::vector<ItemEstimate> ShardedEngine::HeavyHitters(double phi) {
   obs::QuerySpan span("heavy");
   return WithWorkersParked([&] {
-    const Summary& view = RebuildMergedLocked();
-    obs::ScopedPhase report("report");
-    return view.HeavyHitters(phi);
+    if (shards_.size() == 1) {
+      obs::ScopedPhase report("report");
+      return shards_[0]->summary->HeavyHitters(phi);
+    }
+    // Each item is counted by its owning shard alone, so the union of
+    // the partition reports holds every item once.
+    std::vector<ItemEstimate> report;
+    {
+      CrossShardPass pass;
+      const PartitionTotals totals = PartitionTotalsLocked();
+      for (const auto& shard : shards_) {
+        const auto part = shard->summary->PartitionHeavyHitters(phi, totals);
+        report.insert(report.end(), part.begin(), part.end());
+      }
+    }
+    obs::ScopedPhase sort("report");
+    SortByEstimateDesc(report);
+    return report;
   });
+}
+
+uint64_t ShardedEngine::CoveredItems() {
+  return WithWorkersParked(
+      [this] { return PartitionTotalsLocked().covered_items; });
 }
 
 size_t ShardedEngine::MemoryUsageBytes() {
@@ -1035,7 +1094,6 @@ size_t ShardedEngine::MemoryUsageBytes() {
         total += ring->capacity() * sizeof(uint64_t);
       }
     }
-    if (merged_valid_) total += merged_->MemoryUsageBytes();
     return total;
   });
 }
@@ -1398,7 +1456,6 @@ Status ShardedEngine::ApplyFramesLocked(const std::vector<ShardFrame>& frames) {
     slots_[0]->enqueued[s].value.fetch_add(after - before,
                                            std::memory_order_release);
   }
-  merged_valid_ = false;
   BindWindows(rotations);
   return Status::Ok();
 }

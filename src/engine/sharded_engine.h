@@ -10,9 +10,10 @@
 // independent instance of one factory-registered Summary (same name,
 // same options, same seed — the Merge compatibility precondition), and
 // every shard is fed through lock-free SPSC ring buffers drained in
-// batches by a pool of worker threads.  Global answers come from merging
-// the shard summaries on demand behind a merge-epoch cache, so repeated
-// queries over an unchanged stream pay for one merge.
+// batches by a pool of worker threads.  Global answers need no merge:
+// every occurrence of an item lands on one shard, so a point query asks
+// the owning shard and a report is the union of every shard's partition
+// report against the global totals (Summary::PartitionHeavyHitters).
 //
 // Ingestion is a K x P ring GRID: P producer slots (slot 0 belongs to the
 // engine's own Update/UpdateBatch entry points; slots 1..P-1 are claimed
@@ -25,17 +26,17 @@
 // Flush waits until applied catches the acquire-summed enqueued targets.
 //
 // Because shards see disjoint substreams (every occurrence of an item
-// lands on the same shard), the merged summary answers for the
-// concatenated stream exactly as a single summary would — within each
-// structure's documented merge error (see docs/ALGORITHMS.md's
-// mergeability table).  This includes the paper's space-optimal
-// Algorithm 2 (`bdw_optimal`), whose accelerated-counter epochs follow a
-// schedule shared by all shards and are reconciled at merge time
-// (core/bdw_optimal.h).  Structures that do not support Merge
-// (lossy_counting, sticky_sampling) are refused at construction for
-// K > 1 rather than silently answering wrong; K == 1 degenerates to a
-// single-summary engine (still useful for moving ingestion off the
-// caller's thread).
+// lands on the same shard), the union of the partition reports answers
+// for the concatenated stream as a single summary would, and MergedView's
+// one-shot merge does too — within each structure's documented merge
+// error (see docs/ALGORITHMS.md's mergeability table).  This includes the
+// paper's space-optimal Algorithm 2 (`bdw_optimal`), whose accelerated-
+// counter epochs follow a schedule shared by all shards and are
+// reconciled at merge time (core/bdw_optimal.h).  Structures that do
+// not support Merge (lossy_counting, sticky_sampling) are refused at
+// construction for K > 1 rather than silently answering wrong; K == 1
+// degenerates to a single-summary engine (still useful for moving
+// ingestion off the caller's thread).
 //
 // ---- Thread-safety contract (what tests/multi_producer_test.cc,
 // tests/sharded_engine_test.cc and the CI TSan job enforce) -------------
@@ -49,13 +50,13 @@
 //     its partition-pass scratch).
 //   * The engine's internal workers are the only ring consumers, and
 //     each shard is owned by exactly one worker.
-//   * Flush / Estimate / HeavyHitters / MemoryUsageBytes / Checkpoint
-//     are safe from ANY thread, concurrently with live producers: they
-//     serialize on an internal state mutex, wait for every item enqueued
-//     at entry to be applied, park the workers, and read the shard
-//     summaries only while parked (results are copied out, giving
-//     readers snapshot isolation).  Items enqueued while the query runs
-//     are simply not in that snapshot yet.
+//   * Flush / Estimate / HeavyHitters / CoveredItems / MemoryUsageBytes
+//     / Checkpoint are safe from ANY thread, concurrently with live
+//     producers: they serialize on an internal state mutex, wait for
+//     every item enqueued at entry to be applied, park the workers, and
+//     read the shard summaries only while parked (results are copied
+//     out, giving readers snapshot isolation).  Items enqueued while
+//     the query runs are simply not in that snapshot yet.
 //   * MergedView still returns a REFERENCE into engine state, so it
 //     keeps the stricter legacy contract: controller thread only, no
 //     concurrently-active producer handles, reference valid until the
@@ -260,36 +261,48 @@ class ShardedEngine {
   /// enqueueing, their new items are simply not waited for.
   void Flush();
 
-  /// Point query against the merged view.  (Routing to the owning shard
-  /// alone would be wrong for the sampling-based structures: a shard
-  /// rescales its sample by the configured full-stream length, so its
-  /// local estimate is inflated by ~K; the merged summary renormalizes
-  /// over the combined sample.)  Flushes; safe from any thread, even
-  /// with live producers (snapshot isolation — see contract above).
+  /// Point query answered by the owning shard (ShardOf) alone, against
+  /// the global totals: the sampling-based structures renormalise over
+  /// the combined sample of all shards (Summary::PartitionEstimate), so
+  /// a shard's local ~K-fold inflation never reaches the caller.
+  /// Flushes; safe from any thread, even with live producers (snapshot
+  /// isolation — see contract above).
   double Estimate(uint64_t item);
 
-  /// Point queries for a whole key list under ONE flush/park/rebuild
-  /// cycle (an audit pass over k keys costs one pause, not k).  Returns
-  /// estimates positionally matching `items`.  Same thread-safety and
+  /// Point queries for a whole key list under ONE flush/park cycle (an
+  /// audit pass over k keys costs one pause, not k).  Returns estimates
+  /// positionally matching `items`.  Same thread-safety and
   /// snapshot-isolation contract as Estimate.
   std::vector<double> EstimateBatch(const std::vector<uint64_t>& items);
 
-  /// Global report from the merged view.  Flushes; safe from any thread,
-  /// even with live producers (snapshot isolation).
+  /// Global report: the union of every shard's partition report, each
+  /// thresholded against the global totals (Summary::
+  /// PartitionHeavyHitters), sorted by SortByEstimateDesc.  No merge.
+  /// Flushes; safe from any thread, even with live producers (snapshot
+  /// isolation).
   std::vector<ItemEstimate> HeavyHitters(double phi);
 
-  /// The merged summary for the full ingested stream, rebuilt only when
-  /// new items have been applied since the last call (merge-epoch cache).
-  /// With K == 1 this is the lone shard itself.  Flushes.  LEGACY
-  /// contract: controller thread only, no concurrently-active Producer
-  /// handles, reference valid until the next non-const engine call.
+  /// A one-shot merge of every shard: the summary of the full ingested
+  /// stream, rebuilt on every call (the queries above never need it; it
+  /// serves snapshot export and whole-summary inspection).  The merge
+  /// refills one engine-owned instance, so references from earlier calls
+  /// keep pointing at the current merge.  With K == 1 this is the lone
+  /// shard itself.  Flushes.  LEGACY contract: controller thread only,
+  /// no concurrently-active Producer handles, reference valid until the
+  /// next non-const engine call.
   const Summary& MergedView();
 
   /// Total items applied across all shards (== enqueued after Flush).
   uint64_t ItemsProcessed() const;
 
-  /// Shard summaries + rings + cached merge, in bytes.  Flushes and
-  /// parks the workers first; safe from any thread.
+  /// The stream suffix the reports answer for: the sum of the shards'
+  /// CoveredItems() — every applied item, or for a windowed engine the
+  /// global window.  Flushes and parks the workers first; safe from any
+  /// thread.
+  uint64_t CoveredItems();
+
+  /// Shard summaries + rings, in bytes.  Flushes and parks the workers
+  /// first; safe from any thread.
   size_t MemoryUsageBytes();
 
   size_t num_shards() const { return shards_.size(); }
@@ -474,8 +487,8 @@ class ShardedEngine {
   void PauseWorkers();
   void ResumeWorkers();
   // Runs `fn` under state_mutex_ with everything enqueued before the call
-  // applied and the workers parked (shard summaries and the merge cache
-  // are then safe to touch), resuming them on the way out.  The flush and
+  // applied and the workers parked (the shard summaries are then safe to
+  // touch), resuming them on the way out.  The flush and
   // park are timed as the open span's park_wait phase.
   template <typename Fn>
   decltype(auto) WithWorkersParked(Fn&& fn);
@@ -497,10 +510,10 @@ class ShardedEngine {
   // boundary, then rotates every shard window under state_mutex_ and
   // release-publishes rotations_done_.
   void RotateAtBoundary(uint64_t bucket);
-  // Rebuilds the merge cache if stale and returns the current view.
-  // Requires state_mutex_ held AND workers parked (it reads the shard
-  // summaries).
-  const Summary& RebuildMergedLocked();
+  // The whole-stream totals every shard's partition report is measured
+  // against.  Requires state_mutex_ held AND workers parked (it reads
+  // the shard summaries), like every *Locked helper.
+  PartitionTotals PartitionTotalsLocked() const;
   // CaptureFrames body; requires state_mutex_ held and workers parked.
   Status CaptureFramesLocked(const std::vector<ShardBaseline>& baselines,
                              uint32_t max_delta_chain,
@@ -534,7 +547,7 @@ class ShardedEngine {
 
   // Serializes the read side (queries, checkpoint, rotation): exactly
   // one thread at a time may pause the workers and touch shard
-  // summaries or the merge cache.
+  // summaries or merged_.
   std::mutex state_mutex_;
 
   // Worker pause gate: pause_ is checked once per drain pass; parked
@@ -546,13 +559,9 @@ class ShardedEngine {
   std::condition_variable resume_cv_;
   size_t parked_workers_ = 0;
 
-  // Merge-epoch cache (guarded by state_mutex_): `merged_` answers for
-  // the first `merged_epoch_` applied items at rotation count
-  // `merged_rotations_` and is rebuilt only when either moves.
+  // MergedView's instance (guarded by state_mutex_), refilled by every
+  // call; null until the first K > 1 MergedView.
   std::unique_ptr<Summary> merged_;
-  uint64_t merged_epoch_ = 0;
-  uint64_t merged_rotations_ = 0;
-  bool merged_valid_ = false;
 
   // Windowed operation: the shard windows in external-rotation mode
   // (mutated only under state_mutex_), the global bucket width, the

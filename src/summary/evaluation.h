@@ -11,7 +11,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -91,23 +93,21 @@ inline void ScoreSummaryReport(SummaryRunResult& r,
                           static_cast<double>(r.report.size());
 }
 
-/// The suffix of `stream` a summary's report answers for: the covered
-/// window for a `windowed:<algo>` container (sets r.windowed and the
-/// effective geometry), the whole stream otherwise.  Uses only the
-/// generic Summary surface (CoveredItems/Options), so the harness does
-/// not depend on window headers.
+/// The suffix of `stream` a report answers for: the trailing `covered`
+/// items for a `windowed:<algo>` container named `name` (sets r.windowed
+/// and the effective geometry from `options`), the whole stream
+/// otherwise.  Uses only the registry spelling and the generic options,
+/// so the harness does not depend on window headers.
 inline std::span<const uint64_t> ScoringSpan(
-    SummaryRunResult& r, const Summary& summary,
-    const std::vector<uint64_t>& stream) {
-  if (!IsWindowedSummaryName(summary.Name())) {
+    SummaryRunResult& r, std::string_view name, const SummaryOptions& options,
+    uint64_t covered, const std::vector<uint64_t>& stream) {
+  if (!IsWindowedSummaryName(name)) {
     return stream;
   }
   r.windowed = true;
-  const SummaryOptions options = summary.Options();
   r.window_size = options.window_size;
   r.window_buckets = options.window_buckets;
-  const uint64_t covered =
-      std::min<uint64_t>(summary.CoveredItems(), stream.size());
+  covered = std::min<uint64_t>(covered, stream.size());
   return {stream.data() + (stream.size() - covered),
           static_cast<size_t>(covered)};
 }
@@ -138,8 +138,10 @@ inline SummaryRunResult RunRegisteredSummary(
       static_cast<double>(stream.empty() ? 1 : stream.size());
 
   r.report = summary->HeavyHitters(phi);
-  ScoreSummaryReport(r, ScoringSpan(r, *summary, stream), phi,
-                     options.epsilon);
+  ScoreSummaryReport(r,
+                     ScoringSpan(r, summary->Name(), summary->Options(),
+                                 summary->CoveredItems(), stream),
+                     phi, options.epsilon);
   r.memory_bytes = summary->MemoryUsageBytes();
   if (keep != nullptr) *keep = std::move(summary);
   return r;
@@ -211,11 +213,16 @@ inline SummaryRunResult RunEngineSummary(
       static_cast<double>(stream.empty() ? 1 : stream.size());
 
   r.report = engine->HeavyHitters(phi);
-  // MergedView is the engine-wide summary the report came from; for a
-  // windowed engine it is the merged ring, whose coverage is the global
-  // window (the shard rings rotate on the global clock).
-  ScoreSummaryReport(r, ScoringSpan(r, engine->MergedView(), stream), phi,
-                     options.epsilon);
+  // The report answers for the shards' summed coverage: the whole stream,
+  // or for a windowed engine the global window (the shard rings rotate on
+  // the global clock).  A window's effective geometry (after rounding)
+  // is what its container reports as Options.
+  const SummaryOptions effective = IsWindowedSummaryName(name)
+                                       ? MakeSummary(name, options)->Options()
+                                       : options;
+  ScoreSummaryReport(
+      r, ScoringSpan(r, name, effective, engine->CoveredItems(), stream), phi,
+      options.epsilon);
   r.memory_bytes = engine->MemoryUsageBytes();
   if (keep != nullptr) *keep = std::move(engine);
   return r;

@@ -42,6 +42,16 @@ Status Summary::Merge(const Summary& other) {
                                     " does not support Merge");
 }
 
+std::vector<ItemEstimate> Summary::PartitionHeavyHitters(
+    double phi, const PartitionTotals& totals) const {
+  const double floor = (phi - Options().epsilon) *
+                       static_cast<double>(totals.covered_items);
+  std::vector<ItemEstimate> out = HeavyHitters(phi);
+  std::erase_if(out,
+                [floor](const ItemEstimate& e) { return e.estimate < floor; });
+  return out;
+}
+
 Status Summary::SaveTo(BitWriter& out) const {
   (void)out;
   return Status::FailedPrecondition(std::string(Name()) +
@@ -139,9 +149,10 @@ class CounterTableSummary : public Summary {
     return static_cast<double>(table_.Estimate(item));
   }
 
-  std::vector<ItemEstimate> HeavyHitters(double phi) const override {
+  std::vector<ItemEstimate> PartitionHeavyHitters(
+      double phi, const PartitionTotals& totals) const override {
     return ToItemEstimates(table_.EntriesAbove(
-        CeilThreshold(phi - slack_, table_.items_processed())));
+        CeilThreshold(phi - slack_, totals.covered_items)));
   }
 
   uint64_t ItemsProcessed() const override {
@@ -213,9 +224,10 @@ class ExactCounterSummary : public Summary {
     return static_cast<double>(exact_.Count(item));
   }
 
-  std::vector<ItemEstimate> HeavyHitters(double phi) const override {
+  std::vector<ItemEstimate> PartitionHeavyHitters(
+      double phi, const PartitionTotals& totals) const override {
     return ToItemEstimates(
-        exact_.HeavyHitters(CeilThreshold(phi, exact_.total())));
+        exact_.HeavyHitters(CeilThreshold(phi, totals.covered_items)));
   }
 
   uint64_t ItemsProcessed() const override { return exact_.total(); }
@@ -291,10 +303,10 @@ class CountMinSummary : public Summary {
   // The candidate set is tracked against the construction-time phi; the
   // query re-filters it, so phi values below the construction phi are
   // answered best-effort from the tracked candidates.
-  std::vector<ItemEstimate> HeavyHitters(double phi) const override {
+  std::vector<ItemEstimate> PartitionHeavyHitters(
+      double phi, const PartitionTotals& totals) const override {
     const double threshold =
-        (phi - epsilon_ / 2.0) *
-        static_cast<double>(cm_.items_processed());
+        (phi - epsilon_ / 2.0) * static_cast<double>(totals.covered_items);
     std::vector<ItemEstimate> out;
     for (const auto& e : cm_.Report()) {
       if (static_cast<double>(e.count) >= threshold) {
@@ -371,10 +383,10 @@ class CountSketchSummary : public Summary {
     return static_cast<double>(cs_.Estimate(item));
   }
 
-  std::vector<ItemEstimate> HeavyHitters(double phi) const override {
+  std::vector<ItemEstimate> PartitionHeavyHitters(
+      double phi, const PartitionTotals& totals) const override {
     const double threshold =
-        (phi - epsilon_ / 2.0) *
-        static_cast<double>(cs_.items_processed());
+        (phi - epsilon_ / 2.0) * static_cast<double>(totals.covered_items);
     std::vector<ItemEstimate> out;
     for (const uint64_t item : candidates_) {
       const double est = static_cast<double>(cs_.Estimate(item));
@@ -475,9 +487,10 @@ class HashedMisraGriesSummary : public Summary {
     return static_cast<double>(table_.EstimateByHash(item));
   }
 
-  std::vector<ItemEstimate> HeavyHitters(double phi) const override {
+  std::vector<ItemEstimate> PartitionHeavyHitters(
+      double phi, const PartitionTotals& totals) const override {
     const uint64_t threshold =
-        CeilThreshold(phi - epsilon_, table_.items_processed());
+        CeilThreshold(phi - epsilon_, totals.covered_items);
     std::vector<ItemEstimate> out;
     for (const auto& e : table_.TopEntries()) {
       if (e.count >= threshold) {

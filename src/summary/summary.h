@@ -77,6 +77,14 @@ struct SummaryOptions {
                          const SummaryOptions&) = default;
 };
 
+/// The whole-stream totals of a hash-partitioned deployment, summed over
+/// every partition's summary: what each partition's report is measured
+/// against (Summary::PartitionHeavyHitters / PartitionEstimate).
+struct PartitionTotals {
+  uint64_t covered_items = 0;  // sum of CoveredItems()
+  uint64_t samples = 0;        // sum of PartitionSamples()
+};
+
 // Thread-safety contract: a Summary is a single-threaded object.  No
 // method is safe to call concurrently with any other on the same
 // instance (including the const queries, which may share scratch state in
@@ -128,8 +136,13 @@ class Summary {
   /// SummaryOptions::phi (count_min, count_sketch, bdw_simple,
   /// bdw_optimal, hashed_misra_gries) guarantee this only for query
   /// phi >= construction phi; smaller query values are answered
-  /// best-effort from the tracked candidates.
-  virtual std::vector<ItemEstimate> HeavyHitters(double phi) const = 0;
+  /// best-effort from the tracked candidates.  The default answers as the
+  /// lone partition of its own stream (PartitionHeavyHitters against this
+  /// summary's own totals); a structure overrides this, the partition
+  /// hook, or both — each default is written in terms of the other.
+  virtual std::vector<ItemEstimate> HeavyHitters(double phi) const {
+    return PartitionHeavyHitters(phi, {CoveredItems(), PartitionSamples()});
+  }
 
   /// Total weight processed so far (the stream position m').
   virtual uint64_t ItemsProcessed() const = 0;
@@ -139,6 +152,33 @@ class Summary {
   /// starts) for the `windowed:<algo>` container.  The evaluation harness
   /// scores reports against exactly this many trailing items.
   virtual uint64_t CoveredItems() const { return ItemsProcessed(); }
+
+  // ---- Partition reports (docs/ENGINE.md#partition-aware-queries) -------
+  // A hash-partitioned deployment feeds every occurrence of an item to one
+  // summary, so global answers need no Merge: the owning partition answers
+  // a point query, and a report is the union of every partition's report.
+
+  /// What this summary adds to PartitionTotals::samples: CoveredItems()
+  /// for a counting structure, the sample count for a sampling one.
+  virtual uint64_t PartitionSamples() const { return CoveredItems(); }
+
+  /// The items of this partition that HeavyHitters(phi) reports over the
+  /// whole partitioned stream, thresholded at the absolute count a Merge
+  /// of every partition would use, so the union over the partitions is an
+  /// (eps, phi)-List answer for the whole stream.  The default keeps the
+  /// HeavyHitters(phi) entries estimated at >= (phi - Options().epsilon)
+  /// * totals.covered_items (sound when a structure's own threshold
+  /// scales with its own item count); registered structures override it.
+  virtual std::vector<ItemEstimate> PartitionHeavyHitters(
+      double phi, const PartitionTotals& totals) const;
+
+  /// Estimate(item) for an item this partition owns, in whole-stream
+  /// units: sampling structures renormalise over totals.samples.
+  virtual double PartitionEstimate(uint64_t item,
+                                   const PartitionTotals& totals) const {
+    (void)totals;
+    return Estimate(item);
+  }
 
   /// Paper-style space accounting in bytes (rounded up from the
   /// structure's SpaceBits where available).

@@ -186,6 +186,23 @@ std::vector<ItemEstimate> SlidingWindowSummary::HeavyHitters(
   return MergedWindow().HeavyHitters(phi);
 }
 
+uint64_t SlidingWindowSummary::PartitionSamples() const {
+  // A merge sums its inputs' samples, so the buckets answer without one.
+  uint64_t samples = 0;
+  for (const auto& bucket : buckets_) samples += bucket->PartitionSamples();
+  return samples;
+}
+
+std::vector<ItemEstimate> SlidingWindowSummary::PartitionHeavyHitters(
+    double phi, const PartitionTotals& totals) const {
+  return MergedWindow().PartitionHeavyHitters(phi, totals);
+}
+
+double SlidingWindowSummary::PartitionEstimate(
+    uint64_t item, const PartitionTotals& totals) const {
+  return MergedWindow().PartitionEstimate(item, totals);
+}
+
 size_t SlidingWindowSummary::MemoryUsageBytes() const {
   size_t total = sizeof(SlidingWindowSummary);
   for (const auto& bucket : buckets_) total += bucket->MemoryUsageBytes();

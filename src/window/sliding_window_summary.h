@@ -105,6 +105,15 @@ class SlidingWindowSummary : public Summary {
 
   /// Reports answer for the covered window, not the whole history.
   uint64_t CoveredItems() const override { return window_items(); }
+  /// The partition hook, forwarded to the merged window (the samples
+  /// are summed over the buckets, as a merge would): K rotation-aligned
+  /// shard rings cover the same global window, so the union of their
+  /// partition reports answers for it.
+  uint64_t PartitionSamples() const override;
+  std::vector<ItemEstimate> PartitionHeavyHitters(
+      double phi, const PartitionTotals& totals) const override;
+  double PartitionEstimate(uint64_t item,
+                           const PartitionTotals& totals) const override;
 
   size_t MemoryUsageBytes() const override;
 
@@ -114,7 +123,7 @@ class SlidingWindowSummary : public Summary {
   /// same inner structure, geometry, options, and *rotation count* —
   /// bucket i of one ring must cover the same global time range as bucket
   /// i of the other.  A pristine window (never updated, never rotated)
-  /// adopts the other's alignment, which is how the engine's merged view
+  /// adopts the other's alignment, which is how the engine's MergedView
   /// bootstraps.
   bool SupportsMerge() const override { return true; }
   Status Merge(const Summary& other) override;
@@ -195,9 +204,8 @@ class SlidingWindowSummary : public Summary {
   template <typename Apply>
   void ForEachBucketChunk(uint64_t total, Apply&& apply);
 
-  /// The invalidate-on-rotate merged-view cache (the ShardedEngine
-  /// merge-epoch pattern): rebuilt only when items or rotations moved
-  /// since the cached merge.
+  /// The invalidate-on-rotate merged-view cache: rebuilt only when items
+  /// or rotations moved since the cached merge.
   const Summary& MergedWindow() const;
   void InvalidateCache() { merged_valid_ = false; }
 

@@ -3,7 +3,7 @@
 // Listens on a Unix-domain socket, ingests item streams from CONCURRENT
 // connections (each connection lazily binds to its own engine producer
 // slot — the K x P ring grid keeps every ingest path lock-free), and
-// answers live queries from the merged-view cache with snapshot
+// answers live queries from the shards' partitions with snapshot
 // isolation: a query reflects everything flushed at its start, never a
 // torn mid-batch state.
 //
