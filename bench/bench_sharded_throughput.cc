@@ -59,7 +59,7 @@ double TimeBatch(const std::string& name, const SummaryOptions& options,
 }
 
 /// Returns ns/item through the engine (ingest + flush), or < 0 when the
-/// engine refuses the configuration (non-mergeable structure).
+/// engine refuses the configuration.
 double TimeEngine(const std::string& name, const SummaryOptions& options,
                   const std::vector<uint64_t>& stream, size_t shards) {
   ShardedEngineOptions engine_options;
@@ -171,8 +171,8 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // The paper's algorithms through the engine: bdw_optimal is the
-  // structure the epoch-reconciled merge newly unlocked at K > 1.
+  // The paper's Algorithm 2 (bdw_optimal) through the engine, next to
+  // two baselines.
   std::printf("\nitems/sec at batch baseline vs 4-shard engine:\n");
   for (const char* name : {"misra_gries", "count_min", "bdw_optimal"}) {
     const double batch_ns = TimeBatch(name, options, stream);

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/bdw_optimal.h"
@@ -42,21 +44,70 @@ std::vector<ItemEstimate> FilterTopK(const std::vector<HeavyHitter>& top,
   return out;
 }
 
-class BdwSimpleSummary : public Summary {
- public:
-  explicit BdwSimpleSummary(const SummaryOptions& o)
-      : options_(o), seed_(o.seed), impl_(MakeOptions(o), o.seed) {}
+// Algorithms 1 and 2 share one adapter: the same sampling interface
+// (Insert / TopK / EstimateCount / samples_taken / SpaceBits).  They
+// differ in merge (BdwSimple's value-returning Merge, BdwOptimal's epoch-
+// reconciled MergeFrom), in the snapshot payload encoding, and in how a
+// loaded sketch is checked against the constructed one — the per-type
+// overloads below.
+//
+// Same seed and same shape (options for BdwSimple; the full derived shape
+// — rows, repetitions, epoch schedule, drawn hashes — for BdwOptimal) are
+// the precondition of both merges and of a payload matching its header.
+bool SameShape(const BdwSimple& a, const BdwSimple& b) {
+  const BdwSimple::Options& x = a.options();
+  const BdwSimple::Options& y = b.options();
+  return x.epsilon == y.epsilon && x.phi == y.phi && x.delta == y.delta &&
+         x.universe_size == y.universe_size &&
+         x.stream_length == y.stream_length;
+}
+bool SameShape(const BdwOptimal& a, const BdwOptimal& b) {
+  return BdwOptimal::Compatible(a, b);
+}
 
-  std::string_view Name() const override { return "bdw_simple"; }
+Status MergeInto(BdwSimple& into, const BdwSimple& from) {
+  into = BdwSimple::Merge(into, from);
+  return Status::Ok();
+}
+Status MergeInto(BdwOptimal& into, const BdwOptimal& from) {
+  return into.MergeFrom(from);
+}
+
+void SavePayload(const BdwSimple& sketch, BitWriter& out) {
+  sketch.Serialize(out);
+}
+// BdwOptimal snapshots use the sparse T2/T3 grid encoding (the mostly-zero
+// dense grids dominated the wire size); the comm games keep sending the
+// dense Serialize(), so their measured message sizes still track the cell
+// count.
+void SavePayload(const BdwOptimal& sketch, BitWriter& out) {
+  sketch.SerializeSparse(out);
+}
+
+BdwSimple LoadPayload(BitReader& in, uint64_t seed, const BdwSimple&) {
+  return BdwSimple::Deserialize(in, seed);
+}
+BdwOptimal LoadPayload(BitReader& in, uint64_t seed, const BdwOptimal&) {
+  return BdwOptimal::DeserializeSparse(in, seed);
+}
+
+template <typename Sketch>
+class BdwSummary : public Summary {
+ public:
+  BdwSummary(std::string_view name, const SummaryOptions& o)
+      : name_(name), options_(o), impl_(MakeOptions(o), o.seed) {}
+
+  std::string_view Name() const override { return name_; }
   SummaryOptions Options() const override { return options_; }
 
   void Update(uint64_t item, uint64_t weight) override {
     for (uint64_t i = 0; i < weight; ++i) impl_.Insert(item);
   }
 
-  // Sequential by necessity: Insert draws from the sampling PRNG, so the
-  // column loop must consume randomness in exactly the scalar order.  The
-  // win over the default is amortized virtual dispatch only.
+  // Sequential by necessity: Insert draws from the sampling PRNG (and, for
+  // Algorithm 2, the accelerated-counter epochs), so the column loop must
+  // consume randomness in exactly the scalar order.  The win over the
+  // default is amortized virtual dispatch only.
   void UpdateColumn(const uint64_t* items, size_t n) override {
     for (size_t i = 0; i < n; ++i) impl_.Insert(items[i]);
   }
@@ -86,45 +137,41 @@ class BdwSimpleSummary : public Summary {
 
   bool SupportsMerge() const override { return true; }
   Status Merge(const Summary& other) override {
-    const auto* rhs = dynamic_cast<const BdwSimpleSummary*>(&other);
-    // Same seed => same hash function and sampling rate, the precondition
-    // of BdwSimple::Merge.
-    if (rhs == nullptr || rhs->seed_ != seed_) {
+    const auto* rhs = dynamic_cast<const BdwSummary*>(&other);
+    if (rhs == nullptr || rhs->options_.seed != options_.seed ||
+        !SameShape(impl_, rhs->impl_)) {
       return Status::InvalidArgument(
-          "Merge requires another 'bdw_simple' with the same options and "
-          "seed");
+          std::string("Merge requires another '")
+              .append(name_)
+              .append("' with the same options and seed"));
     }
-    impl_ = BdwSimple::Merge(impl_, rhs->impl_);
-    return Status::Ok();
+    return MergeInto(impl_, rhs->impl_);
   }
 
   bool SupportsSnapshot() const override { return true; }
   Status SaveTo(BitWriter& out) const override {
-    impl_.Serialize(out);
+    SavePayload(impl_, out);
     impl_.SerializeRngState(out);
     return Status::Ok();
   }
   Status LoadFrom(BitReader& in) override {
-    BdwSimple loaded = BdwSimple::Deserialize(in, seed_);
+    Sketch loaded = LoadPayload(in, options_.seed, impl_);
     loaded.DeserializeRngState(in);
     if (in.overflow()) return in.status();
     // The wire carries the sketch's own options; they must agree with the
     // header options this adapter was constructed from.
-    const BdwSimple::Options& a = loaded.options();
-    const BdwSimple::Options& b = impl_.options();
-    if (a.epsilon != b.epsilon || a.phi != b.phi || a.delta != b.delta ||
-        a.universe_size != b.universe_size ||
-        a.stream_length != b.stream_length) {
+    if (!SameShape(impl_, loaded)) {
       return Status::Corruption(
-          "'bdw_simple' snapshot payload options disagree with the header");
+          std::string("'").append(name_).append(
+              "' snapshot payload options disagree with the header"));
     }
     impl_ = std::move(loaded);
     return Status::Ok();
   }
 
  private:
-  static BdwSimple::Options MakeOptions(const SummaryOptions& o) {
-    BdwSimple::Options opt;
+  static typename Sketch::Options MakeOptions(const SummaryOptions& o) {
+    typename Sketch::Options opt;
     opt.epsilon = o.epsilon;
     opt.phi = o.phi;
     opt.delta = o.delta;
@@ -133,106 +180,9 @@ class BdwSimpleSummary : public Summary {
     return opt;
   }
 
+  std::string_view name_;
   SummaryOptions options_;
-  uint64_t seed_;
-  BdwSimple impl_;
-};
-
-class BdwOptimalSummary : public Summary {
- public:
-  explicit BdwOptimalSummary(const SummaryOptions& o)
-      : options_(o), seed_(o.seed), impl_(MakeOptions(o), o.seed) {}
-
-  std::string_view Name() const override { return "bdw_optimal"; }
-  SummaryOptions Options() const override { return options_; }
-
-  void Update(uint64_t item, uint64_t weight) override {
-    for (uint64_t i = 0; i < weight; ++i) impl_.Insert(item);
-  }
-
-  // Algorithm 2's Insert consumes PRNG draws (sampling + accelerated-
-  // counter epochs), so the column loop stays strictly sequential; the
-  // saving over the default path is the per-item virtual call.
-  void UpdateColumn(const uint64_t* items, size_t n) override {
-    for (size_t i = 0; i < n; ++i) impl_.Insert(items[i]);
-  }
-
-  double Estimate(uint64_t item) const override {
-    return impl_.EstimateCount(item);
-  }
-
-  uint64_t PartitionSamples() const override { return impl_.samples_taken(); }
-  std::vector<ItemEstimate> PartitionHeavyHitters(
-      double phi, const PartitionTotals& totals) const override {
-    return FilterTopK(impl_.TopK(static_cast<size_t>(-1), totals.samples),
-                      phi, impl_.options().epsilon,
-                      impl_.options().stream_length);
-  }
-  double PartitionEstimate(uint64_t item,
-                           const PartitionTotals& totals) const override {
-    return impl_.EstimateCount(item, totals.samples);
-  }
-
-  uint64_t ItemsProcessed() const override {
-    return impl_.items_processed();
-  }
-  size_t MemoryUsageBytes() const override {
-    return (impl_.SpaceBits() + 7) / 8;
-  }
-
-  bool SupportsMerge() const override { return true; }
-  Status Merge(const Summary& other) override {
-    const auto* rhs = dynamic_cast<const BdwOptimalSummary*>(&other);
-    // Same seed => same hash functions, sampling rate, and epoch
-    // schedule; BdwOptimal::Compatible re-verifies the derived shape.
-    if (rhs == nullptr || rhs->seed_ != seed_ ||
-        !BdwOptimal::Compatible(impl_, rhs->impl_)) {
-      return Status::InvalidArgument(
-          "Merge requires another 'bdw_optimal' with the same options and "
-          "seed");
-    }
-    return impl_.MergeFrom(rhs->impl_);
-  }
-
-  bool SupportsSnapshot() const override { return true; }
-  // Snapshots use the sparse T2/T3 grid encoding (the mostly-zero dense
-  // grids dominated the wire size); the comm games keep sending the
-  // dense Serialize(), so their measured message sizes still track the
-  // cell count.
-  Status SaveTo(BitWriter& out) const override {
-    impl_.SerializeSparse(out);
-    impl_.SerializeRngState(out);
-    return Status::Ok();
-  }
-  Status LoadFrom(BitReader& in) override {
-    BdwOptimal loaded = BdwOptimal::DeserializeSparse(in, seed_);
-    loaded.DeserializeRngState(in);
-    if (in.overflow()) return in.status();
-    // Compatible() re-verifies the full derived shape (rows, repetitions,
-    // epoch schedule, drawn hashes) against the instance the header
-    // options constructed — the same precondition Merge relies on.
-    if (!BdwOptimal::Compatible(impl_, loaded)) {
-      return Status::Corruption(
-          "'bdw_optimal' snapshot payload options disagree with the header");
-    }
-    impl_ = std::move(loaded);
-    return Status::Ok();
-  }
-
- private:
-  static BdwOptimal::Options MakeOptions(const SummaryOptions& o) {
-    BdwOptimal::Options opt;
-    opt.epsilon = o.epsilon;
-    opt.phi = o.phi;
-    opt.delta = o.delta;
-    opt.universe_size = o.universe_size;
-    opt.stream_length = o.stream_length;
-    return opt;
-  }
-
-  SummaryOptions options_;
-  uint64_t seed_;
-  BdwOptimal impl_;
+  Sketch impl_;
 };
 
 }  // namespace
@@ -241,10 +191,12 @@ namespace internal {
 
 void RegisterCoreSummaries() {
   RegisterSummary("bdw_simple", [](const SummaryOptions& o) {
-    return std::unique_ptr<Summary>(new BdwSimpleSummary(o));
+    return std::unique_ptr<Summary>(
+        new BdwSummary<BdwSimple>("bdw_simple", o));
   });
   RegisterSummary("bdw_optimal", [](const SummaryOptions& o) {
-    return std::unique_ptr<Summary>(new BdwOptimalSummary(o));
+    return std::unique_ptr<Summary>(
+        new BdwSummary<BdwOptimal>("bdw_optimal", o));
   });
 }
 

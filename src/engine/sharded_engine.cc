@@ -246,10 +246,6 @@ void PruneCheckpoints(const std::string& dir) {
   }
 }
 
-// Ring memory scales as num_shards * max_producers * queue_capacity; cap
-// the slot count so a typo cannot request terabytes of rings.
-constexpr size_t kMaxProducerSlots = 4096;
-
 // What every shard set entering an engine from outside must satisfy — a
 // checkpoint generation (Restore), a replica's cold round (FromFrames),
 // or a round committed over live shards (ApplyFrames).  `reference` is
@@ -259,15 +255,9 @@ constexpr size_t kMaxProducerSlots = 4096;
 Status ValidateShardSet(const std::vector<const Summary*>& shards,
                         const Summary& reference, uint64_t* rotations) {
   *rotations = 0;
-  if (shards.size() > 1 && !reference.SupportsMerge()) {
-    return Status::FailedPrecondition(
-        "'" + std::string(reference.Name()) +
-        "' does not support Merge; a multi-shard state of it cannot be "
-        "valid");
-  }
   // All shards must come from ONE engine: same structure, options and
-  // seed, or the first merged query would fail on Merge compatibility
-  // (and abort).  Catch a spliced-in foreign shard here, as a Status.
+  // seed, or a partition report would be measured against totals of
+  // foreign shards.  Catch a spliced-in foreign shard here, as a Status.
   const SummaryOptions base = reference.Options();
   for (size_t s = 0; s < shards.size(); ++s) {
     if (shards[s]->Name() != reference.Name() ||
@@ -524,8 +514,10 @@ std::unique_ptr<ShardedEngine> ShardedEngine::Create(
     if (status != nullptr) *status = std::move(s);
     return nullptr;
   };
-  if (options.num_shards == 0) {
-    return fail(Status::InvalidArgument("num_shards must be >= 1"));
+  if (options.num_shards == 0 || options.num_shards > kMaxShards) {
+    return fail(Status::InvalidArgument(
+        "num_shards " + std::to_string(options.num_shards) +
+        " is out of range [1, " + std::to_string(kMaxShards) + "]"));
   }
   if (options.max_producers == 0) {
     return fail(Status::InvalidArgument(
@@ -543,16 +535,6 @@ std::unique_ptr<ShardedEngine> ShardedEngine::Create(
     // name, the specific windowed refusal (non-mergeable inner, hostile
     // geometry) for a windowed: spelling.
     return fail(std::move(make_status));
-  }
-  // The refusal rule is keyed off the adapter's own SupportsMerge, so a
-  // structure becomes shardable the moment its Merge lands (bdw_optimal
-  // did via the shared epoch schedule; lossy_counting and sticky_sampling
-  // remain position-dependent and refused at K > 1).
-  if (options.num_shards > 1 && !probe->SupportsMerge()) {
-    return fail(Status::FailedPrecondition(
-        "'" + options.algorithm +
-        "' does not support Merge; the engine refuses to shard it "
-        "(num_shards must be 1)"));
   }
   std::unique_ptr<ShardedEngine> engine(new ShardedEngine(options));
   engine->shards_[0]->summary = std::move(probe);
@@ -990,9 +972,10 @@ const Summary& ShardedEngine::MergedView() {
     if (shards_.size() == 1) return *shards_[0]->summary;
     CrossShardPass pass;
     // A fresh empty instance absorbs every shard.  All shards were
-    // constructed from the same options/seed, so the merges cannot fail
-    // on compatibility; if one does, surface it loudly (a silent partial
-    // merge would corrupt the snapshot taken from it).
+    // constructed from the same options/seed and the caller guarantees a
+    // mergeable structure, so the merges cannot fail; if one does,
+    // surface it loudly (a silent partial merge would corrupt the
+    // snapshot taken from it).
     auto merged = MakeSummary(options_.algorithm, options_.summary);
     for (const auto& shard : shards_) {
       const Status s = merged->Merge(*shard->summary);
@@ -1380,8 +1363,10 @@ std::unique_ptr<ShardedEngine> ShardedEngine::FromFrames(
     if (status != nullptr) *status = std::move(s);
     return nullptr;
   };
-  if (num_shards == 0) {
-    return fail(Status::InvalidArgument("a cold round needs a shard"));
+  if (num_shards == 0 || num_shards > kMaxShards) {
+    return fail(Status::InvalidArgument(
+        "a cold round needs between 1 and " + std::to_string(kMaxShards) +
+        " shards, not " + std::to_string(num_shards)));
   }
   if (exec.max_producers == 0 || exec.max_producers > kMaxProducerSlots) {
     return fail(Status::InvalidArgument(

@@ -1,19 +1,17 @@
 // ShardedEngine — the scale-out layer over the unified Summary interface.
 // Architecture walkthrough: docs/ENGINE.md.
 //
-// The paper's structures are mergeable (Misra-Gries and Space-Saving by
-// the classic merge, the linear sketches cell-wise, BdwSimple by sample
-// concatenation, BdwOptimal by epoch-reconciled table sums), which is
-// exactly the property Woodruff's survey singles out as the route to
-// distributed and parallel deployment.  The engine exploits it: the item
-// universe is hash-partitioned across K shards, each shard owns an
-// independent instance of one factory-registered Summary (same name,
-// same options, same seed — the Merge compatibility precondition), and
-// every shard is fed through lock-free SPSC ring buffers drained in
-// batches by a pool of worker threads.  Global answers need no merge:
-// every occurrence of an item lands on one shard, so a point query asks
-// the owning shard and a report is the union of every shard's partition
-// report against the global totals (Summary::PartitionHeavyHitters).
+// The item universe is hash-partitioned across K shards, each shard owns
+// an independent instance of one factory-registered Summary (same name,
+// same options, same seed), and every shard is fed through lock-free SPSC
+// ring buffers drained in batches by a pool of worker threads.  Any
+// registered structure shards: Definition 1's error is additive in m, and
+// every occurrence of an item lands on one shard, so a structure whose
+// error on its own substream is at most eps * m_i <= eps * m answers from
+// the owning shard without a merge.  A point query asks that shard, and a
+// report is the union of every shard's partition report against the
+// global totals (Summary::PartitionHeavyHitters).  Merge matters only to
+// MergedView's one-shot export (and to the windows' bucket rings).
 //
 // Ingestion is a K x P ring GRID: P producer slots (slot 0 belongs to the
 // engine's own Update/UpdateBatch entry points; slots 1..P-1 are claimed
@@ -25,17 +23,7 @@
 // a per-shard enqueued counter, each shard keeps one applied counter, and
 // Flush waits until applied catches the acquire-summed enqueued targets.
 //
-// Because shards see disjoint substreams (every occurrence of an item
-// lands on the same shard), the union of the partition reports answers
-// for the concatenated stream as a single summary would, and MergedView's
-// one-shot merge does too — within each structure's documented merge
-// error (see docs/ALGORITHMS.md's mergeability table).  This includes the
-// paper's space-optimal Algorithm 2 (`bdw_optimal`), whose accelerated-
-// counter epochs follow a schedule shared by all shards and are
-// reconciled at merge time (core/bdw_optimal.h).  Structures that do
-// not support Merge (lossy_counting, sticky_sampling) are refused at
-// construction for K > 1 rather than silently answering wrong; K == 1
-// degenerates to a single-summary engine (still useful for moving
+// K == 1 degenerates to a single-summary engine (still useful for moving
 // ingestion off the caller's thread).
 //
 // ---- Thread-safety contract (what tests/multi_producer_test.cc,
@@ -104,11 +92,9 @@ class SlidingWindowSummary;
 struct ShardedEngineOptions {
   /// Registry name of the per-shard summary (see RegisteredSummaryNames).
   std::string algorithm = "misra_gries";
-  /// Construction parameters handed verbatim to every shard.  The shared
-  /// seed is what makes the shard summaries Merge-compatible.
+  /// Construction parameters handed verbatim to every shard.
   SummaryOptions summary;
-  /// Number of hash partitions (>= 1).  K > 1 requires the algorithm to
-  /// support Merge.
+  /// Number of hash partitions, in [1, ShardedEngine::kMaxShards].
   size_t num_shards = 4;
   /// Worker threads draining the shard rings; 0 means one per shard.
   /// Each shard is serviced by exactly one worker (SPSC consumer side).
@@ -175,6 +161,12 @@ struct EngineMetrics {
 
 class ShardedEngine {
  public:
+  /// Sanity caps on the ring grid: ring memory scales as num_shards *
+  /// max_producers * queue_capacity, and Create starts one worker per
+  /// shard by default, so a typo is refused before anything is allocated.
+  static constexpr size_t kMaxShards = 1024;
+  static constexpr size_t kMaxProducerSlots = 4096;
+
   /// A claimed producer slot: an independent ingestion endpoint with its
   /// own ring per shard and its own partition-pass scratch.  Obtain via
   /// RegisterProducer; destroying the handle returns the slot for reuse
@@ -222,8 +214,8 @@ class ShardedEngine {
 
   /// Validates options, builds the shard summaries, and starts the worker
   /// pool.  Returns nullptr (with the reason in *status when given) if the
-  /// algorithm is unregistered, K == 0, max_producers is 0 or implausibly
-  /// large, or K > 1 for a non-mergeable structure.
+  /// algorithm is unregistered, or K or max_producers is 0 or above its
+  /// sanity cap.
   static std::unique_ptr<ShardedEngine> Create(
       const ShardedEngineOptions& options, Status* status = nullptr);
 
@@ -287,7 +279,10 @@ class ShardedEngine {
   /// serves snapshot export and whole-summary inspection).  The merge
   /// refills one engine-owned instance, so references from earlier calls
   /// keep pointing at the current merge.  With K == 1 this is the lone
-  /// shard itself.  Flushes.  LEGACY contract: controller thread only,
+  /// shard itself.  PRECONDITION: the structure supports Merge, or
+  /// K == 1; a failed shard merge aborts, so callers that may hold
+  /// another structure check SupportsMerge first (l1hh_cli run --save
+  /// does).  Flushes.  LEGACY contract: controller thread only,
   /// no concurrently-active Producer handles, reference valid until the
   /// next non-const engine call.
   const Summary& MergedView();

@@ -42,9 +42,9 @@ inline constexpr size_t kMaxLineBytes = 4096;
 inline constexpr uint64_t kMaxBinaryBatch = uint64_t{1} << 26;
 /// A replication frame above this is a protocol error, not a snapshot.
 inline constexpr uint64_t kMaxFrameBytes = uint64_t{1} << 28;
-/// Plausibility caps on the rconf shard count and an audit header's key
-/// count.
-inline constexpr uint64_t kMaxReplicaShards = uint64_t{1} << 16;
+/// Plausibility caps on the rconf shard count (the engine's own cap: no
+/// primary has more shards) and an audit header's key count.
+inline constexpr uint64_t kMaxReplicaShards = ShardedEngine::kMaxShards;
 inline constexpr uint64_t kMaxAuditKeys = uint64_t{1} << 20;
 
 bool WriteAll(int fd, const void* data, size_t n);

@@ -30,7 +30,8 @@ namespace l1hh {
 /// contract a windowed summary makes, so that is the truth it is held to.
 struct SummaryRunResult {
   bool ok = false;           // false if the name is not registered (or,
-                             // for sharded runs, refuses to shard)
+                             // for sharded runs, the engine refuses
+                             // the configuration)
   std::string error;         // why ok == false
   size_t true_heavies = 0;   // |{x : f(x) > phi*m}|
   size_t recalled = 0;       // true heavies present in the report

@@ -89,10 +89,10 @@ struct PartitionTotals {
 // method is safe to call concurrently with any other on the same
 // instance (including the const queries, which may share scratch state in
 // derived classes); callers that want parallelism run one instance per
-// thread over disjoint substreams and combine them with Merge — which is
-// exactly what the sharded engine (src/engine/) does, with a Flush
-// quiescence protocol guarding every read.  Distinct instances never
-// share mutable state and may be used from different threads freely.
+// thread over disjoint substreams — as the sharded engine (src/engine/)
+// does, answering from the partitions, with a Flush quiescence protocol
+// guarding every read.  Distinct instances never share mutable state and
+// may be used from different threads freely.
 class Summary {
  public:
   virtual ~Summary() = default;

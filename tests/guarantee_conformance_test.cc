@@ -9,9 +9,9 @@
 // delta, so the suite asserts the observed failure count stays within a
 // binomial tolerance (mean + 3 sigma) of R*delta; deterministic
 // structures must never fail.  Seeds are fixed, so the verdicts are
-// reproducible bit-for-bit.  Every mergeable structure additionally runs
-// the same battery through a 4-shard ShardedEngine (shard-then-merge must
-// not cost any part of the contract; see the second suite below).
+// reproducible bit-for-bit.  Every structure additionally runs the same
+// battery through a 4-shard ShardedEngine (sharding must not cost any
+// part of the contract; see the second suite below).
 //
 // ctest labels: slow, conformance (run under ASan/UBSan in CI's
 // sanitizer job; excluded from nothing — the suite is sized to stay
@@ -30,7 +30,6 @@
 #include "stream/stream_generator.h"
 #include "summary/exact_counter.h"
 #include "summary/summary.h"
-#include "summary_test_util.h"
 
 namespace l1hh {
 namespace {
@@ -99,11 +98,10 @@ struct RunVerdict {
 };
 
 /// Runs one workload through the summary (shards == 1) or through a
-/// shard-then-merge ShardedEngine (shards > 1: hash-partitioned ingest,
-/// epoch/state reconciliation at merge, global answers from the merged
-/// view) and checks the Definition 1 contract either way.  Sharding must
-/// not cost any part of the guarantee — that is the engine's correctness
-/// claim, and for bdw_optimal it is the ISSUE 3 acceptance criterion.
+/// ShardedEngine (shards > 1: hash-partitioned ingest, global answers from
+/// the owning shards' partition reports, no merge) and checks the
+/// Definition 1 contract either way.  Sharding must not cost any part of
+/// the guarantee — that is the engine's correctness claim.
 RunVerdict CheckDefinitionOneContract(const std::string& algorithm,
                                       const std::vector<uint64_t>& stream,
                                       uint64_t seed, size_t shards = 1) {
@@ -221,17 +219,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The same battery, ingested through a 4-shard ShardedEngine instead of a
 // single summary: hash-partitioned substreams, one same-seed instance per
-// shard, answers from the engine's merged view.  Shard-then-merge must
-// preserve the Definition 1 contract under the SAME failure budget — this
-// is what lets the repo claim the paper's optimal algorithm *sharded*
-// (bdw_optimal's epoch-reconciled merge), and it covers every other
-// mergeable structure for free.
-std::vector<std::string> MergeableNames() {
-  SummaryOptions probe_options;
-  probe_options.stream_length = kStreamLength;
-  return MergeableSummaryNames(probe_options);
-}
-
+// shard, answers from the owning shards.  Definition 1's error is additive
+// in m and each shard sees every occurrence of the items it owns, so every
+// registered structure — mergeable or not — must keep the contract under
+// the SAME failure budget.  (The instantiation keeps its historical
+// "AllMergeable" prefix.)
 class ShardedGuaranteeConformanceTest
     : public testing::TestWithParam<std::string> {};
 
@@ -267,7 +259,7 @@ TEST_P(ShardedGuaranteeConformanceTest,
 
 INSTANTIATE_TEST_SUITE_P(
     AllMergeable, ShardedGuaranteeConformanceTest,
-    testing::ValuesIn(MergeableNames()),
+    testing::ValuesIn(RegisteredSummaryNames()),
     [](const testing::TestParamInfo<std::string>& info) {
       return info.param;
     });

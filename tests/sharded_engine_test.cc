@@ -1,6 +1,6 @@
 // ShardedEngine correctness: routing, quiescence, merged-view semantics,
-// the merge-epoch cache, backpressure under a tiny ring, and the
-// refuse-to-shard rule for non-mergeable structures.  These are the
+// backpressure under a tiny ring, construction rules, and non-mergeable
+// structures sharding and replicating like any other.  These are the
 // concurrency tests CI also runs under ASan+UBSan (ctest label: engine).
 #include "engine/sharded_engine.h"
 
@@ -88,21 +88,6 @@ TEST(SpscRingTest, PushSomeAcceptsPartialBatches) {
 // --------------------------------------------------------------------------
 // Engine construction rules.
 
-TEST(ShardedEngineTest, RefusesToShardNonMergeableStructures) {
-  for (const char* name : {"lossy_counting", "sticky_sampling"}) {
-    Status status;
-    auto engine =
-        ShardedEngine::Create(EngineOptions(name, 4, 60000), &status);
-    EXPECT_EQ(engine, nullptr) << name;
-    EXPECT_FALSE(status.ok()) << name;
-    // K == 1 is the degenerate single-summary engine and always allowed.
-    auto single =
-        ShardedEngine::Create(EngineOptions(name, 1, 60000), &status);
-    ASSERT_NE(single, nullptr) << name;
-    EXPECT_TRUE(status.ok()) << name;
-  }
-}
-
 TEST(ShardedEngineTest, RejectsUnknownAlgorithmAndZeroShards) {
   Status status;
   EXPECT_EQ(ShardedEngine::Create(EngineOptions("no_such_algo", 2, 1000),
@@ -113,6 +98,56 @@ TEST(ShardedEngineTest, RejectsUnknownAlgorithmAndZeroShards) {
   opts.num_shards = 0;
   EXPECT_EQ(ShardedEngine::Create(opts, &status), nullptr);
   EXPECT_FALSE(status.ok());
+}
+
+TEST(ShardedEngineTest, RefusesShardCountsAboveTheCap) {
+  // Only cap + 1: it is refused before any ring or worker exists, while an
+  // engine near the cap would start that many threads.
+  const size_t over = ShardedEngine::kMaxShards + 1;
+  Status status;
+  auto opts = EngineOptions("misra_gries", over, 1000);
+  EXPECT_EQ(ShardedEngine::Create(opts, &status), nullptr);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_EQ(ShardedEngine::FromFrames({}, over, opts, &status), nullptr);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+}
+
+TEST(ShardedEngineTest, NonMergeableShardsRoundTripThroughFrames) {
+  // No engine path merges, so a K > 1 state of a structure without Merge
+  // is captured, rebuilt (FromFrames) and replaced (ApplyFrames) like any
+  // other, and the replica answers exactly as the primary.
+  const auto planted = TestStream();
+  const size_t half = planted.items.size() / 2;
+  for (const char* name : {"lossy_counting", "sticky_sampling"}) {
+    SCOPED_TRACE(name);
+    Status status;
+    auto primary = ShardedEngine::Create(
+        EngineOptions(name, 4, planted.items.size()), &status);
+    ASSERT_NE(primary, nullptr) << status.ToString();
+    primary->UpdateBatch({planted.items.data(), half});
+    std::vector<ShardFrame> frames;
+    ASSERT_TRUE(primary->CaptureFrames({}, 0, &frames, nullptr).ok());
+    auto replica = ShardedEngine::FromFrames(frames, 4,
+                                             ShardedEngineOptions{}, &status);
+    ASSERT_NE(replica, nullptr) << status.ToString();
+
+    primary->UpdateBatch({planted.items.data() + half,
+                          planted.items.size() - half});
+    frames.clear();
+    ASSERT_TRUE(primary->CaptureFrames({}, 0, &frames, nullptr).ok());
+    ASSERT_TRUE(replica->ApplyFrames(frames).ok());
+    EXPECT_EQ(replica->ItemsProcessed(), planted.items.size());
+    const auto expected = primary->HeavyHitters(0.05);
+    const auto got = replica->HeavyHitters(0.05);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].item, expected[i].item);
+      EXPECT_EQ(got[i].estimate, expected[i].estimate);
+    }
+    for (const uint64_t id : planted.planted_ids) {
+      EXPECT_TRUE(Reported(got, id)) << "missed " << id;
+    }
+  }
 }
 
 TEST(ShardedEngineTest, ZeroDrainBatchIsClampedNotHung) {
@@ -306,7 +341,7 @@ TEST(ShardedEngineTest, WeightedUpdateMatchesRepeated) {
 }
 
 // --------------------------------------------------------------------------
-// Merged view and its epoch cache.
+// Merged view (a one-shot merge, rebuilt on every call).
 
 TEST(ShardedEngineTest, MergedViewReflectsNewItemsAfterCacheHit) {
   auto engine = ShardedEngine::Create(EngineOptions("exact", 4, 1000));
@@ -314,12 +349,12 @@ TEST(ShardedEngineTest, MergedViewReflectsNewItemsAfterCacheHit) {
   std::vector<uint64_t> first(300, 42);
   engine->UpdateBatch(first);
   EXPECT_EQ(engine->HeavyHitters(0.05).size(), 1u);
-  // Cache hit: same epoch, same view object answers again.
+  // No new items: the engine refills the same view object.
   const Summary& view1 = engine->MergedView();
   const Summary& view2 = engine->MergedView();
   EXPECT_EQ(&view1, &view2);
   EXPECT_EQ(view1.ItemsProcessed(), 300u);
-  // New items must invalidate the cache.
+  // New items must show up in the next merge.
   std::vector<uint64_t> second(700, 43);
   engine->UpdateBatch(second);
   const Summary& view3 = engine->MergedView();

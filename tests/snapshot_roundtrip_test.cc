@@ -404,13 +404,15 @@ TEST_P(EngineCheckpointTest, CheckpointRestoreContinueEqualsUninterrupted) {
   std::filesystem::remove_all(dir);
 }
 
+// Every registered structure shards, so every one must checkpoint and
+// restore a K = 4 engine (the prefix "Mergeable" is historical).
 INSTANTIATE_TEST_SUITE_P(Mergeable, EngineCheckpointTest,
-                         testing::ValuesIn(MergeableSummaryNames(Options())),
+                         testing::ValuesIn(RegisteredSummaryNames()),
                          [](const auto& info) { return info.param; });
 
 TEST(EngineCheckpointEdgeTest, SingleShardNonMergeableRoundTrips) {
-  // sticky_sampling cannot shard (K>1) but a K=1 engine of it must still
-  // checkpoint and restore exactly — including its PRNG state.
+  // The degenerate K=1 engine of a non-mergeable structure must
+  // checkpoint and restore exactly too — including its PRNG state.
   const auto stream = TestStream();
   const size_t half = stream.size() / 2;
   ShardedEngineOptions opt;

@@ -984,6 +984,18 @@ int CmdRun(const Args& a) {
   const uint64_t m_arg = a.m != 0 ? a.m : kDefaultM;
   const auto stream = MakeZipfStream(a.n, a.alpha, m_arg, a.seed);
   const SummaryOptions options = ToSummaryOptions(a, stream.size());
+  // A sharded --save exports the one-shot merge of every shard
+  // (ShardedEngine::MergedView), which only a mergeable structure has.
+  if (a.shards > 1 && !a.save_path.empty()) {
+    const auto probe = MakeSummary(a.algorithm, options);
+    if (probe != nullptr && !probe->SupportsMerge()) {
+      std::fprintf(stderr,
+                   "--save with --shards>1 needs a mergeable --algo; '%s' "
+                   "does not support Merge (use --shards=1)\n",
+                   a.algorithm.c_str());
+      return 2;
+    }
+  }
   std::unique_ptr<Summary> summary;
   std::unique_ptr<ShardedEngine> engine;
   const SummaryRunResult r =
