@@ -1,8 +1,93 @@
 #include "count/compact_counter_array.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace l1hh {
+namespace {
+
+constexpr uint64_t kNibbleLowBits = 0x1111111111111111ULL;
+
+/// Bit 4k set iff nibble k of w is nonzero.
+uint64_t NonzeroNibbles(uint64_t w) {
+  return (w | w >> 1 | w >> 2 | w >> 3) & kNibbleLowBits;
+}
+
+/// Number of nonzero nibbles in w, without a popcount instruction.
+size_t CountNonzeroNibbles(uint64_t w) {
+  const uint64_t m = NonzeroNibbles(w);
+  const uint64_t per_byte = (m + (m >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<size_t>((per_byte * 0x0101010101010101ULL) >> 56);
+}
+
+/// Gamma codes packed into a local 64-bit word, handed to the writer one
+/// full word at a time.  The bits are exactly those of the matching
+/// BitWriter calls; codes longer than 63 bits (v >= 2^32) go through
+/// WriteGamma itself.
+class GammaSink {
+ public:
+  explicit GammaSink(BitWriter& out) : out_(out) {}
+  ~GammaSink() { out_.WriteBits(acc_, used_); }
+  GammaSink(const GammaSink&) = delete;
+  GammaSink& operator=(const GammaSink&) = delete;
+
+  /// The low `nbits` bits of `code` (nbits in [1, 64], higher bits zero).
+  void Put(uint64_t code, int nbits) {
+    acc_ |= code << used_;
+    used_ += nbits;
+    if (used_ < 64) return;
+    out_.WriteBits(acc_, 64);
+    used_ -= 64;
+    acc_ = used_ == 0 ? 0 : code >> (nbits - used_);
+  }
+
+  /// `count` one-bits: the dense code of `count` empty cells.
+  void Ones(size_t count) {
+    for (; count >= 64; count -= 64) Put(~uint64_t{0}, 64);
+    if (count > 0) Put((uint64_t{1} << count) - 1, static_cast<int>(count));
+  }
+
+  void Gamma(uint64_t v) {
+    const int len = FloorLog2(v);
+    if (static_cast<unsigned>(len) > 31) {
+      out_.WriteBits(acc_, used_);
+      acc_ = 0;
+      used_ = 0;
+      out_.WriteGamma(v);
+      return;
+    }
+    Put(Code(v, len), 2 * len + 1);
+  }
+
+  void Counter(uint64_t v) { Gamma(v + 1); }
+
+  /// Gamma(a) then Gamma(b), as one Put when both fit in 64 bits.
+  void GammaPair(uint64_t a, uint64_t b) {
+    const int len_a = FloorLog2(a);
+    const int len_b = FloorLog2(b);
+    if (static_cast<unsigned>(len_a + len_b) > 31) {
+      Gamma(a);
+      Gamma(b);
+      return;
+    }
+    Put(Code(a, len_a) | Code(b, len_b) << (2 * len_a + 1),
+        2 * (len_a + len_b) + 2);
+  }
+
+ private:
+  /// len zeros, a one, then v's low len bits: what WriteGamma writes for
+  /// v with FloorLog2(v) == len <= 31.
+  static uint64_t Code(uint64_t v, int len) {
+    return ((v ^ (uint64_t{1} << len)) << (len + 1)) | (uint64_t{1} << len);
+  }
+
+  BitWriter& out_;
+  uint64_t acc_ = 0;
+  int used_ = 0;  // bits of acc_ in use, always < 64 between calls
+};
+
+}  // namespace
 
 void CompactCounterArray::Reset(size_t n) {
   size_ = n;
@@ -54,25 +139,57 @@ void CompactCounterArray::ReserveSpill(size_t count) {
   }
 }
 
+uint64_t CompactCounterArray::NibbleWord(size_t j) const {
+  uint64_t w = 0;
+  const size_t first = 8 * j;
+  if (first + 8 <= packed_.size()) {
+    std::memcpy(&w, packed_.data() + first, 8);
+  } else {  // the last, partial word
+    std::memcpy(&w, packed_.data() + first, packed_.size() - first);
+  }
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  return w;
+}
+
+template <typename Fn>
+void CompactCounterArray::ForEachNonzero(Fn&& fn) const {
+  const size_t words = (size_ + 15) / 16;
+  for (size_t j = 0; j < words; ++j) {
+    const uint64_t w = NibbleWord(j);
+    for (uint64_t m = NonzeroNibbles(w); m != 0; m &= m - 1) {
+      const int shift = std::countr_zero(m);
+      const size_t cell = 16 * j + static_cast<size_t>(shift >> 2);
+      const uint64_t nib = (w >> shift) & 0xf;
+      fn(cell, nib < kNibbleMax ? nib : SpilledValue(cell));
+    }
+  }
+}
+
+void CompactCounterArray::WriteDenseCells(BitWriter& out) const {
+  GammaSink sink(out);
+  size_t previous_end = 0;  // one past the last written cell
+  ForEachNonzero([&](size_t cell, uint64_t v) {
+    sink.Ones(cell - previous_end);  // WriteCounter(0) == one 1-bit
+    sink.Counter(v);
+    previous_end = cell + 1;
+  });
+  sink.Ones(size_ - previous_end);
+}
+
 bool CompactCounterArray::AddFrom(const CompactCounterArray& other) {
   if (other.size_ != size_) return false;
   ReserveSpill(spill_count_ + other.spill_count_);
-  for (size_t b = 0; b < other.packed_.size(); ++b) {
-    if (other.packed_[b] == 0) continue;  // two empty cells
-    for (size_t i = 2 * b; i < std::min(2 * b + 2, size_); ++i) {
-      const uint64_t v = other.Get(i);
-      if (v != 0) Add(i, v);
-    }
-  }
+  other.ForEachNonzero([this](size_t i, uint64_t v) { Add(i, v); });
   return true;
 }
 
 size_t CompactCounterArray::SpaceBits() const {
-  size_t bits = 0;
-  for (size_t i = 0; i < size_; ++i) {
-    const uint64_t v = Get(i);
-    bits += v == 0 ? 1 : static_cast<size_t>(CounterBits(v));
-  }
+  size_t bits = size_;  // one bit per cell, plus each nonzero code's rest
+  ForEachNonzero([&bits](size_t, uint64_t v) {
+    bits += static_cast<size_t>(CounterBits(v)) - 1;
+  });
   return bits;
 }
 
@@ -82,16 +199,14 @@ size_t CompactCounterArray::HeapBytes() const {
 
 void CompactCounterArray::Serialize(BitWriter& out) const {
   out.WriteGamma(size_ + 1);
-  for (size_t i = 0; i < size_; ++i) {
-    out.WriteCounter(Get(i));
-  }
+  WriteDenseCells(out);
 }
 
 void CompactCounterArray::Deserialize(BitReader& in) {
   const size_t n = in.CheckedCount(in.ReadGamma() - 1);
   Reset(n);
   for (size_t i = 0; i < n; ++i) {
-    Add(i, in.ReadCounter());
+    Assign(i, in.ReadCounter());
   }
 }
 
@@ -106,37 +221,31 @@ void CompactCounterArray::SerializeSparse(BitWriter& out) const {
   // prices both and writes whichever is smaller, flagged by the format
   // bit, so the payload is never worse than min(dense, sparse) + 1.
   out.WriteGamma(size_ + 1);
-  size_t dense_bits = 0;
-  size_t sparse_bits = 0;
+  // The sparse form is written first, since grids large enough to matter
+  // are mostly empty; the same walk prices the dense form, and a grid
+  // where dense is no larger is rolled back and rewritten dense.
+  const size_t flag_at = out.size_bits();
+  out.WriteBool(true);
   size_t nonzero = 0;
-  {
-    size_t previous_end = 0;
-    for (size_t i = 0; i < size_; ++i) {
-      const uint64_t v = Get(i);
-      dense_bits += static_cast<size_t>(CounterBits(v));
-      if (v == 0) continue;
-      sparse_bits += static_cast<size_t>(CounterBits(i - previous_end)) +
-                     static_cast<size_t>(EliasGammaBits(v));
-      previous_end = i + 1;
-      ++nonzero;
-    }
-    sparse_bits += static_cast<size_t>(CounterBits(nonzero));
-  }
-  const bool sparse = sparse_bits < dense_bits;
-  out.WriteBool(sparse);
-  if (!sparse) {
-    for (size_t i = 0; i < size_; ++i) out.WriteCounter(Get(i));
-    return;
+  for (size_t j = 0; j < (size_ + 15) / 16; ++j) {
+    nonzero += CountNonzeroNibbles(NibbleWord(j));
   }
   out.WriteCounter(nonzero);
-  size_t previous_end = 0;  // one past the last written cell
-  for (size_t i = 0; i < size_; ++i) {
-    const uint64_t v = Get(i);
-    if (v == 0) continue;
-    out.WriteCounter(i - previous_end);  // zero cells skipped
-    out.WriteGamma(v);
-    previous_end = i + 1;
+  size_t dense_bits = size_;  // one bit per cell, plus each nonzero's rest
+  {
+    GammaSink sink(out);
+    size_t previous_end = 0;  // one past the last written cell
+    ForEachNonzero([&](size_t cell, uint64_t v) {
+      sink.GammaPair(cell - previous_end + 1, v);  // gap + 1, value
+      dense_bits += static_cast<size_t>(CounterBits(v)) - 1;
+      previous_end = cell + 1;
+    });
   }
+  const size_t sparse_bits = out.size_bits() - flag_at - 1;
+  if (sparse_bits < dense_bits) return;
+  out.Truncate(flag_at);
+  out.WriteBool(false);
+  WriteDenseCells(out);
 }
 
 void CompactCounterArray::DeserializeSparse(BitReader& in,
@@ -152,7 +261,7 @@ void CompactCounterArray::DeserializeSparse(BitReader& in,
   const size_t n = static_cast<size_t>(claimed);
   Reset(n);
   if (!in.ReadBool()) {  // dense fallback (saturated grid)
-    for (size_t i = 0; i < n; ++i) Add(i, in.ReadCounter());
+    for (size_t i = 0; i < n; ++i) Assign(i, in.ReadCounter());
     return;
   }
   uint64_t nonzero = in.CheckedCount(in.ReadCounter());
@@ -168,7 +277,7 @@ void CompactCounterArray::DeserializeSparse(BitReader& in,
       break;
     }
     next += gap;
-    Add(next, in.ReadGamma());
+    Assign(next, in.ReadGamma());
     ++next;
   }
 }

@@ -35,10 +35,7 @@ class CompactCounterArray {
 
   uint64_t Get(size_t i) const {
     const uint8_t nib = Nibble(i);
-    if (nib < kNibbleMax) return nib;
-    // An empty slot holds value 0: a spilled nibble with no slot is 15.
-    return spill_.empty() ? kNibbleMax
-                          : kNibbleMax + spill_[SpillProbe(i)].value;
+    return nib < kNibbleMax ? nib : SpilledValue(i);
   }
 
   /// counter[i] += delta.
@@ -65,10 +62,14 @@ class CompactCounterArray {
   /// 16 bytes per spill-table slot.
   size_t HeapBytes() const;
 
-  /// Dense wire encoding: one gamma code per cell (1 bit per empty cell).
-  /// This is what the Section 4 communication games send — the message
-  /// size tracks the structure's cell count, the quantity the
-  /// message-vs-eps experiments chart.
+  /// Dense wire encoding: gamma(size + 1), then WriteCounter(v) — one
+  /// gamma code per cell, 1 bit per empty cell.  This is what the
+  /// Section 4 communication games send — the message size tracks the
+  /// structure's cell count, the quantity the message-vs-eps experiments
+  /// chart.  The encoder reads 16 cells per 64-bit nibble word, visits
+  /// only nonzero cells (std::countr_zero on a nonzero-nibble mask), and
+  /// packs codes into a local 64-bit accumulator handed to the writer a
+  /// word at a time; the bits are those of one WriteCounter per cell.
   void Serialize(BitWriter& out) const;
   void Deserialize(BitReader& in);
 
@@ -78,7 +79,12 @@ class CompactCounterArray {
   /// instead of Theta(size) bits — with an automatic dense fallback
   /// (1-bit format flag) for saturated grids, where gap codes would only
   /// add overhead.  This is what the snapshot path persists (measured
-  /// table: docs/SNAPSHOTS.md).
+  /// table: docs/SNAPSHOTS.md).  The encoder counts nonzero cells a
+  /// nibble word at a time, then writes the sparse form in one walk that
+  /// also prices the dense one; only a grid where dense is no larger is
+  /// rolled back (BitWriter::Truncate) and rewritten dense.  Each spilled
+  /// cell costs one spill-table probe per write, and nothing beyond the
+  /// output is allocated.  The bits equal the per-cell definition above.
   void SerializeSparse(BitWriter& out) const;
 
   /// Restores a SerializeSparse payload.  `expected_size` is the cell
@@ -106,10 +112,35 @@ class CompactCounterArray {
     while (spill_[s].key != i + 1 && spill_[s].key != 0) s = (s + 1) & mask;
     return s;
   }
+  /// Full value of a cell whose nibble is 15.  An absent slot holds 0: a
+  /// spilled nibble with no slot is exactly 15.
+  uint64_t SpilledValue(size_t i) const {
+    return spill_.empty() ? kNibbleMax
+                          : kNibbleMax + spill_[SpillProbe(i)].value;
+  }
   /// counter[i]'s spilled part, inserting an empty slot if absent.
   uint64_t& SpillValue(size_t i);
   /// Grows the table so `count` keys fit under 3/4 load.
   void ReserveSpill(size_t count);
+
+  /// Cells 16j .. 16j+15 as one word, cell 16j + k in bits [4k, 4k + 4);
+  /// cells past size() read as 0.
+  uint64_t NibbleWord(size_t j) const;
+  /// Calls fn(cell, value) for every nonzero cell in index order, a
+  /// nibble word at a time.
+  template <typename Fn>
+  void ForEachNonzero(Fn&& fn) const;
+  /// The dense cell stream: one WriteCounter per cell.
+  void WriteDenseCells(BitWriter& out) const;
+  /// Sets a cell of a freshly Reset array (decoders only).
+  void Assign(size_t i, uint64_t v) {
+    if (v < kNibbleMax) {
+      SetNibble(i, static_cast<uint8_t>(v));
+      total_ += v;
+    } else {
+      Add(i, v);
+    }
+  }
 
   uint8_t Nibble(size_t i) const {
     const uint8_t byte = packed_[i >> 1];

@@ -1086,6 +1086,7 @@ size_t ShardedEngine::MemoryUsageBytes() {
 Status ShardedEngine::CaptureFramesLocked(
     const std::vector<ShardBaseline>& baselines, uint32_t max_delta_chain,
     std::vector<ShardFrame>* frames, uint64_t* total_applied) {
+  obs::ScopedPhase capture("capture");
   frames->clear();
   for (size_t s = 0; s < shards_.size(); ++s) {
     const uint64_t applied =

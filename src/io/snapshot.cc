@@ -83,12 +83,17 @@ void WriteHeader(BitWriter& out, const Summary& summary) {
 /// stream_bits, the words, and the CRC trailer.
 void SealContainer(const char (&magic)[8], uint32_t version,
                    const BitWriter& stream, std::vector<uint8_t>* out) {
+  const std::vector<uint64_t>& words = stream.words();
   out->clear();
-  out->reserve(kPreambleBytes + stream.words().size() * 8 + kTrailerBytes);
+  out->reserve(kPreambleBytes + words.size() * 8 + kTrailerBytes);
   out->insert(out->end(), magic, magic + sizeof(magic));
   AppendU32(*out, version);
   AppendU64(*out, stream.size_bits());
-  for (const uint64_t word : stream.words()) AppendU64(*out, word);
+  out->resize(kPreambleBytes + words.size() * 8);
+  uint8_t* p = out->data() + kPreambleBytes;
+  for (const uint64_t word : words) {  // little-endian, one store a word
+    for (int i = 0; i < 8; ++i) *p++ = static_cast<uint8_t>(word >> (8 * i));
+  }
   AppendU32(*out, Crc32(out->data(), out->size()));
 }
 
@@ -199,21 +204,15 @@ Status SaveSummary(const Summary& summary, std::vector<uint8_t>* out) {
     return Status::FailedPrecondition(std::string(summary.Name()) +
                                       " does not support snapshots");
   }
-  // The payload goes into its own writer first so its exact bit length is
-  // known before the header field announcing it is written.
-  BitWriter payload;
-  const Status saved = summary.SaveTo(payload);
-  if (!saved.ok()) return saved;
-
+  // The header field announcing the payload's bit length precedes the
+  // payload: write a placeholder, then patch in the length once known.
   BitWriter stream;
   WriteHeader(stream, summary);
-  stream.WriteU64(payload.size_bits());
-  size_t left = payload.size_bits();
-  for (size_t w = 0; left > 0; ++w) {
-    const int chunk = left >= 64 ? 64 : static_cast<int>(left);
-    stream.WriteBits(payload.words()[w], chunk);
-    left -= static_cast<size_t>(chunk);
-  }
+  const size_t length_at = stream.size_bits();
+  stream.WriteU64(0);
+  const Status saved = summary.SaveTo(stream);
+  if (!saved.ok()) return saved;
+  stream.PatchU64(length_at, stream.size_bits() - length_at - 64);
 
   SealContainer(kMagic, kSnapshotFormatVersion, stream, out);
   return Status::Ok();

@@ -1,5 +1,6 @@
 #include "util/bit_stream.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <string>
@@ -30,6 +31,25 @@ void BitWriter::WriteGamma(uint64_t v) {
   WriteBits(v - (uint64_t{1} << len), len);
 }
 
+void BitWriter::Truncate(size_t nbits) {
+  words_.resize((nbits + 63) / 64);
+  if ((nbits & 63) != 0) words_.back() &= (uint64_t{1} << (nbits & 63)) - 1;
+  nbits_ = nbits;
+}
+
+void BitWriter::PatchU64(size_t at, uint64_t v) {
+  const size_t word_index = at >> 6;
+  const int bit_offset = static_cast<int>(at & 63);
+  if (bit_offset == 0) {
+    words_[word_index] = v;
+    return;
+  }
+  const uint64_t below = (uint64_t{1} << bit_offset) - 1;
+  words_[word_index] = (words_[word_index] & below) | (v << bit_offset);
+  words_[word_index + 1] =
+      (words_[word_index + 1] & ~below) | (v >> (64 - bit_offset));
+}
+
 void BitWriter::WriteDouble(double d) {
   uint64_t bits;
   std::memcpy(&bits, &d, sizeof(bits));
@@ -55,19 +75,44 @@ uint64_t BitReader::ReadBits(int nbits) {
   return value;
 }
 
-uint64_t BitReader::ReadGamma() {
-  int len = 0;
-  while (!overflow_ && ReadBits(1) == 0) {
-    ++len;
-    // A valid gamma prefix is at most 63 zeros (64-bit values); 64 would
-    // shift past the word below, which is UB on hostile input.
-    if (len >= 64) {
-      MarkOverflow();
-      return 1;
-    }
+uint64_t BitReader::Peek64() const {
+  const size_t left = limit_bits_ - pos_;
+  if (left == 0) return 0;
+  const size_t word_index = pos_ >> 6;
+  const int bit_offset = static_cast<int>(pos_ & 63);
+  uint64_t value = words_[word_index] >> bit_offset;
+  // The next word exists whenever the limit reaches into it.
+  if (bit_offset != 0 && (word_index + 1) * 64 < limit_bits_) {
+    value |= words_[word_index + 1] << (64 - bit_offset);
   }
+  if (left < 64) value &= (uint64_t{1} << left) - 1;
+  return value;
+}
+
+uint64_t BitReader::ReadGamma() {
   if (overflow_) return 1;
-  const uint64_t low = ReadBits(len);
+  const uint64_t peek = Peek64();
+  if (peek == 0) {
+    // No one-bit within reach: a prefix of 64 zeros (a valid code has at
+    // most 63; reading on would shift past the word, UB on hostile
+    // input), or a stream that ends inside the prefix.  Either way the
+    // reader stops where a bit-by-bit walk would: after the 64th zero,
+    // or at the limit.
+    pos_ += std::min<size_t>(limit_bits_ - pos_, 64);
+    MarkOverflow();
+    return 1;
+  }
+  const int len = std::countr_zero(peek);
+  const int code_bits = 2 * len + 1;
+  if (code_bits <= 64 &&
+      static_cast<size_t>(code_bits) <= limit_bits_ - pos_) {
+    pos_ += static_cast<size_t>(code_bits);  // the whole code was peeked
+    return (uint64_t{1} << len) |
+           ((peek >> (len + 1)) & ((uint64_t{1} << len) - 1));
+  }
+  // A long code (v >= 2^32) or one cut off by the end of the stream.
+  pos_ += static_cast<size_t>(len) + 1;  // the prefix and its one-bit
+  const uint64_t low = ReadBits(len);      // marks a truncated tail
   return (uint64_t{1} << len) + low;
 }
 

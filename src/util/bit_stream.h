@@ -35,6 +35,13 @@ class BitWriter {
   /// Fixed-width write of a double (bit pattern).
   void WriteDouble(double d);
 
+  /// Drops every bit from position `nbits` on; nbits <= size_bits().
+  void Truncate(size_t nbits);
+
+  /// Overwrites the 64 bits written at position `at` (at + 64 <=
+  /// size_bits()): a length field patched in once what follows is known.
+  void PatchU64(size_t at, uint64_t v);
+
   size_t size_bits() const { return nbits_; }
   const std::vector<uint64_t>& words() const { return words_; }
 
@@ -64,6 +71,10 @@ class BitReader {
   /// sets overflow(); the first out-of-bounds position is kept for status().
   uint64_t ReadBits(int nbits);
 
+  /// Elias gamma code, read with one 64-bit peek when the whole code is
+  /// in it.  A run of 64 zeros (no valid code has more than 63) marks
+  /// overflow after the 64th zero; a code cut off by the end of the
+  /// stream marks it where the cut falls.
   uint64_t ReadGamma();
   uint64_t ReadCounter() { return ReadGamma() - 1; }
   uint64_t ReadU64() { return ReadBits(64); }
@@ -96,6 +107,9 @@ class BitReader {
   }
 
  private:
+  /// The next min(64, remaining_bits()) bits, zero above them; no move.
+  uint64_t Peek64() const;
+
   void MarkOverflow() {
     if (!overflow_) overflow_pos_ = pos_;
     overflow_ = true;

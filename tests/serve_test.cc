@@ -103,6 +103,21 @@ class Client {
     }
   }
 
+  // Consumes exactly n raw bytes (a binary frame body).
+  void Skip(size_t n) {
+    while (buffer_.size() < n) {
+      char chunk[4096];
+      const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
+      if (got <= 0) {
+        ADD_FAILURE() << "server hung up mid-frame (" << std::strerror(errno)
+                      << ")";
+        return;
+      }
+      buffer_.append(chunk, static_cast<size_t>(got));
+    }
+    buffer_.erase(0, n);
+  }
+
   // Issues `heavy phi` and returns {item -> estimate}.
   std::map<uint64_t, double> Heavy(double phi) {
     char request[64];
@@ -558,6 +573,38 @@ TEST(ServeTest, HeavyRefusesPhiOutsideZeroOne) {
   client.SendLine("heavy 1");
   EXPECT_EQ(client.ReadLine(), "hh 1");
   EXPECT_EQ(client.ReadLine(), "5 1");
+  ShutdownAndExpectCleanExit(client, pid);
+}
+
+// `sync` is a timed verb: after one sync, /metrics carries its latency
+// series and its park_wait / capture / reply_write phases.
+TEST(ServeTest, SyncIsTimedWithItsPhases) {
+  const std::string socket_path =
+      testing::TempDir() + "/l1hh_serve_sync_span.sock";
+  const pid_t pid = StartServer(socket_path, 1000);
+  ASSERT_GT(pid, 0);
+  Client client(socket_path);
+  for (int i = 0; i < 100; ++i) client.SendLine(std::to_string(i % 7));
+  client.SendLine("sync");
+  EXPECT_EQ(client.ReadLine().rfind("rconf ", 0), 0u);
+  std::string line = client.ReadLine();
+  for (; line.rfind("frame ", 0) == 0; line = client.ReadLine()) {
+    client.Skip(std::stoull(line.substr(line.rfind(' ') + 1)));
+  }
+  EXPECT_EQ(line, "rsync 100");
+
+  const auto metrics = Scrape(client);
+  const auto latency =
+      metrics.find("l1hh_query_latency_ns_count{verb=\"sync\"}");
+  ASSERT_NE(latency, metrics.end());
+  EXPECT_EQ(latency->second, 1);
+  for (const char* phase : {"park_wait", "capture", "reply_write"}) {
+    const auto it = metrics.find(
+        std::string("l1hh_query_phase_ns_count{phase=\"") + phase +
+        "\",verb=\"sync\"}");
+    ASSERT_NE(it, metrics.end()) << phase;
+    EXPECT_EQ(it->second, 1) << phase;
+  }
   ShutdownAndExpectCleanExit(client, pid);
 }
 

@@ -76,6 +76,7 @@
 #include <iostream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -1004,7 +1005,16 @@ int CmdRun(const Args& a) {
                    : RunRegisteredSummary(a.algorithm, options, stream,
                                           a.phi, &summary);
   if (!r.ok) {
-    std::fprintf(stderr, "%s; try `l1hh_cli list`\n", r.error.c_str());
+    // The hint fits an unknown name only, not an engine or option refusal.
+    std::string_view inner = a.algorithm;
+    if (IsWindowedSummaryName(inner)) {
+      inner.remove_prefix(kWindowedPrefix.size());
+    }
+    const std::vector<std::string> names = RegisteredSummaryNames();
+    const bool known =
+        std::find(names.begin(), names.end(), inner) != names.end();
+    std::fprintf(stderr, "%s%s\n", r.error.c_str(),
+                 known ? "" : "; try `l1hh_cli list`");
     return 2;
   }
   // Scrape-time gauges (per-shard applied/high-water, per-slot enqueued)

@@ -350,6 +350,8 @@ void HandleConnection(serve::Server& server, const ServeState& state,
       // "sync" before any "replicate" degenerates to a cold full sync:
       // the connection has no baselines, so every shard ships full.
       const bool cold = line == "replicate" || replica_baselines.empty();
+      // park_wait and capture come from the engine; reply_write is here.
+      obs::QuerySpan span(line == "sync" ? "sync" : "replicate");
       serve::ReplicationRound round;
       const Status captured = engine.CaptureFrames(
           cold ? std::vector<ShardBaseline>{} : replica_baselines,
@@ -369,14 +371,17 @@ void HandleConnection(serve::Server& server, const ServeState& state,
             opts.sample_rate, opts.epsilon, opts.phi, round.items,
             state.auditor->TopShadow(opts.audit_top_k)};
       }
-      if (cold) {
-        replica_baselines.assign(engine.num_shards(), ShardBaseline{});
-        if (!serve::WriteLine(fd, serve::RconfLine(engine.num_shards(),
-                                                   engine.algorithm()))) {
-          break;
+      {
+        obs::ScopedPhase write_phase("reply_write");
+        if (cold) {
+          replica_baselines.assign(engine.num_shards(), ShardBaseline{});
+          if (!serve::WriteLine(fd, serve::RconfLine(engine.num_shards(),
+                                                     engine.algorithm()))) {
+            break;
+          }
         }
+        if (!serve::WriteRound(fd, round)) break;
       }
-      if (!serve::WriteRound(fd, round)) break;
       // The follower now holds these states; the next sync diffs
       // against them.
       for (const ShardFrame& frame : round.frames) {
