@@ -248,10 +248,10 @@ void PruneCheckpoints(const std::string& dir) {
 
 // What every shard set entering an engine from outside must satisfy — a
 // checkpoint generation (Restore), a replica's cold round (FromFrames),
-// or a round committed over live shards (ApplyFrames).  `reference` is
-// the engine's own shard 0 for ApplyFrames and staged shard 0 otherwise.
-// `*rotations` gets the common window rotation count (0 when not
-// windowed).
+// or a round committed over live shards; all three commit through
+// ApplyFrames.  `reference` is the engine's own shard 0 (for a cold round,
+// the empty shard Create built from frame 0's header).  `*rotations` gets
+// the common window rotation count (0 when not windowed).
 Status ValidateShardSet(const std::vector<const Summary*>& shards,
                         const Summary& reference, uint64_t* rotations) {
   *rotations = 0;
@@ -324,8 +324,8 @@ Status ValidateShardSet(const std::vector<const Summary*>& shards,
 // chain, a replica's cold round, or a round over live shards.  Decodes
 // `frames` in order into `*staged` (one slot per shard).  A full frame
 // replaces the shard's slot; a delta applies in place onto the slot this
-// round already staged, or else onto a Save/Load copy of `live[shard]`
-// (`live` is empty for a cold round).  Nothing live is touched.
+// round already staged, or else onto a Save/Load copy of `live[shard]`.
+// Nothing live is touched.
 Status StageFrames(const std::vector<ShardFrame>& frames,
                    const std::vector<const Summary*>& live,
                    std::vector<std::unique_ptr<Summary>>* staged) {
@@ -343,11 +343,6 @@ Status StageFrames(const std::vector<ShardFrame>& frames,
       continue;
     }
     if (slot == nullptr) {
-      if (live.empty()) {
-        return Status::InvalidArgument(
-            "delta frame for shard " + std::to_string(frame.shard) +
-            " has no base: no full frame precedes it");
-      }
       std::vector<uint8_t> bytes;
       s = SaveSummary(*live[frame.shard], &bytes);
       if (s.ok()) slot = LoadSummary(bytes, &s);
@@ -564,7 +559,7 @@ void ShardedEngine::BindWindows(uint64_t restored_rotations) {
     windows_.push_back(window);
   }
   rotation_stride_ = windows_[0]->bucket_width();
-  // Runs before the workers start (Create, Restore) or with them parked
+  // Runs before the workers start (Create) or with them parked
   // (ApplyFrames); either way slot 0's enqueued counters are final here.
   uint64_t total = 0;
   for (size_t s = 0; s < shards_.size(); ++s) total += ShardEnqueued(s);
@@ -774,7 +769,7 @@ void ShardedEngine::RotateAtBoundary(uint64_t bucket) {
   while (rotations_done_.load(std::memory_order_acquire) < bucket - 1) {
     backoff.Idle();
   }
-  while (TotalApplied() < bucket * rotation_stride_) backoff.Idle();
+  while (ItemsProcessed() < bucket * rotation_stride_) backoff.Idle();
   {
     // All rings are empty (everything enqueued is applied) and every
     // producer is gated, so the workers cannot touch the summaries; the
@@ -865,7 +860,7 @@ uint64_t ShardedEngine::ShardEnqueued(size_t shard_index) const {
   return total;
 }
 
-uint64_t ShardedEngine::TotalApplied() const {
+uint64_t ShardedEngine::ItemsProcessed() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) {
     total += shard->applied.load(std::memory_order_acquire);
@@ -892,8 +887,6 @@ void ShardedEngine::Flush() {
     flush_ctr->Inc();
   }
 }
-
-uint64_t ShardedEngine::ItemsProcessed() const { return TotalApplied(); }
 
 std::vector<uint64_t> ShardedEngine::ShardItemCounts() const {
   std::vector<uint64_t> counts;
@@ -1018,13 +1011,6 @@ std::vector<double> ShardedEngine::EstimateBatch(
   return WithWorkersParked([&] {
     std::vector<double> estimates;
     estimates.reserve(items.size());
-    if (shards_.size() == 1) {
-      obs::ScopedPhase report("report");
-      for (const uint64_t item : items) {
-        estimates.push_back(shards_[0]->summary->Estimate(item));
-      }
-      return estimates;
-    }
     PartitionTotals totals;
     {
       CrossShardPass pass;
@@ -1042,10 +1028,6 @@ std::vector<double> ShardedEngine::EstimateBatch(
 std::vector<ItemEstimate> ShardedEngine::HeavyHitters(double phi) {
   obs::QuerySpan span("heavy");
   return WithWorkersParked([&] {
-    if (shards_.size() == 1) {
-      obs::ScopedPhase report("report");
-      return shards_[0]->summary->HeavyHitters(phi);
-    }
     // Each item is counted by its owning shard alone, so the union of
     // the partition reports holds every item once.
     std::vector<ItemEstimate> report;
@@ -1121,7 +1103,7 @@ Status ShardedEngine::CaptureFramesLocked(
     }
     frames->push_back(std::move(frame));
   }
-  if (total_applied != nullptr) *total_applied = TotalApplied();
+  if (total_applied != nullptr) *total_applied = ItemsProcessed();
   return Status::Ok();
 }
 
@@ -1364,86 +1346,74 @@ std::unique_ptr<ShardedEngine> ShardedEngine::FromFrames(
     if (status != nullptr) *status = std::move(s);
     return nullptr;
   };
-  if (num_shards == 0 || num_shards > kMaxShards) {
-    return fail(Status::InvalidArgument(
-        "a cold round needs between 1 and " + std::to_string(kMaxShards) +
-        " shards, not " + std::to_string(num_shards)));
-  }
-  if (exec.max_producers == 0 || exec.max_producers > kMaxProducerSlots) {
-    return fail(Status::InvalidArgument(
-        "exec.max_producers " + std::to_string(exec.max_producers) +
-        " is out of range [1, " + std::to_string(kMaxProducerSlots) + "]"));
-  }
-  std::vector<std::unique_ptr<Summary>> staged(num_shards);
-  Status valid = StageFrames(frames, {}, &staged);
-  if (!valid.ok()) return fail(std::move(valid));
-  std::vector<const Summary*> views;
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (staged[s] == nullptr) {
+  // Every shard's chain must open with a full frame.  Checked on the
+  // frames alone, so a hostile shard count allocates nothing.
+  std::set<size_t> opened;
+  for (const ShardFrame& frame : frames) {
+    if (!frame.delta) {
+      opened.insert(frame.shard);
+    } else if (opened.count(frame.shard) == 0) {
       return fail(Status::InvalidArgument(
-          "a cold round carries a full frame for every shard; shard " +
-          std::to_string(s) + " has none"));
+          "delta frame for shard " + std::to_string(frame.shard) +
+          " has no base: no full frame precedes it"));
     }
-    views.push_back(staged[s].get());
   }
-  uint64_t restored_rotations = 0;
-  valid = ValidateShardSet(views, *views[0], &restored_rotations);
-  if (!valid.ok()) return fail(std::move(valid));
-
+  if (num_shards == 0 || opened.size() != num_shards ||
+      *opened.rbegin() >= num_shards) {
+    return fail(Status::InvalidArgument(
+        "a cold round opens each of its " + std::to_string(num_shards) +
+        " shards with a full frame; this one opens " +
+        std::to_string(opened.size()) + " shard(s) of [0, " +
+        std::to_string(num_shards) + ")"));
+  }
+  // Frame 0 is a full frame: its header names the algorithm and options
+  // (domain-checked before any factory runs).
+  SnapshotInfo info;
+  Status s = ReadSnapshotInfo(frames[0].bytes, &info);
+  if (!s.ok()) return fail(std::move(s));
   ShardedEngineOptions options = exec;
-  options.algorithm = std::string(views[0]->Name());
-  options.summary = views[0]->Options();
+  options.algorithm = info.algorithm;
+  options.summary = info.options;
   options.num_shards = num_shards;
-  std::unique_ptr<ShardedEngine> engine(new ShardedEngine(options));
-  for (size_t s = 0; s < num_shards; ++s) {
-    const uint64_t processed = staged[s]->ItemsProcessed();
-    engine->shards_[s]->summary = std::move(staged[s]);
-    // Pre-thread-start stores: the worker pool has not launched yet.
-    // The restored prefix is credited to slot 0 — the clock only needs
-    // the sums, not the per-slot attribution.
-    engine->slots_[0]->enqueued[s].value.store(processed,
-                                               std::memory_order_relaxed);
-    engine->shards_[s]->applied.store(processed, std::memory_order_relaxed);
-  }
-  engine->BindWindows(restored_rotations);
-  engine->StartWorkers();
-  if (status != nullptr) *status = Status::Ok();
+  std::unique_ptr<ShardedEngine> engine = Create(options, status);
+  if (engine == nullptr) return nullptr;
+  s = engine->ApplyFrames(frames);
+  if (!s.ok()) return fail(std::move(s));
   return engine;
 }
 
 Status ShardedEngine::ApplyFrames(const std::vector<ShardFrame>& frames) {
-  return WithWorkersParked([&] { return ApplyFramesLocked(frames); });
-}
-
-Status ShardedEngine::ApplyFramesLocked(const std::vector<ShardFrame>& frames) {
-  // Stage the round off to the side; nothing live changes until every
-  // frame decoded and the resulting shard set validated, so a refused
-  // frame leaves the engine at the previous committed round.
-  std::vector<const Summary*> views;
-  for (const auto& shard : shards_) views.push_back(shard->summary.get());
-  std::vector<std::unique_ptr<Summary>> staged(shards_.size());
-  Status valid = StageFrames(frames, views, &staged);
-  if (!valid.ok()) return valid;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (staged[s] != nullptr) views[s] = staged[s].get();
-  }
-  uint64_t rotations = 0;
-  valid = ValidateShardSet(views, *shards_[0]->summary, &rotations);
-  if (!valid.ok()) return valid;
-  // Commit.  The frame-fed engine has no producers, so slot 0's enqueued
-  // counter absorbs the clock change (u64 wrap handles a shrink) and the
-  // Flush targets stay equal to the applied counts.
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (staged[s] == nullptr) continue;
-    const uint64_t before = shards_[s]->applied.load(std::memory_order_relaxed);
-    const uint64_t after = staged[s]->ItemsProcessed();
-    shards_[s]->summary = std::move(staged[s]);
-    shards_[s]->applied.store(after, std::memory_order_release);
-    slots_[0]->enqueued[s].value.fetch_add(after - before,
-                                           std::memory_order_release);
-  }
-  BindWindows(rotations);
-  return Status::Ok();
+  return WithWorkersParked([&] {
+    // Stage the round off to the side; nothing live changes until every
+    // frame decoded and the resulting shard set validated, so a refused
+    // frame leaves the engine at the previous committed round.
+    std::vector<const Summary*> views;
+    for (const auto& shard : shards_) views.push_back(shard->summary.get());
+    std::vector<std::unique_ptr<Summary>> staged(shards_.size());
+    Status valid = StageFrames(frames, views, &staged);
+    if (!valid.ok()) return valid;
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      if (staged[s] != nullptr) views[s] = staged[s].get();
+    }
+    uint64_t rotations = 0;
+    valid = ValidateShardSet(views, *shards_[0]->summary, &rotations);
+    if (!valid.ok()) return valid;
+    // Commit.  A frame-fed engine has no producers, so slot 0's enqueued
+    // counter absorbs the clock change (u64 wrap handles a shrink) and the
+    // Flush targets stay equal to the applied counts.
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      if (staged[s] == nullptr) continue;
+      const uint64_t before =
+          shards_[s]->applied.load(std::memory_order_relaxed);
+      const uint64_t after = staged[s]->ItemsProcessed();
+      shards_[s]->summary = std::move(staged[s]);
+      shards_[s]->applied.store(after, std::memory_order_release);
+      slots_[0]->enqueued[s].value.fetch_add(after - before,
+                                             std::memory_order_release);
+    }
+    BindWindows(rotations);
+    return Status::Ok();
+  });
 }
 
 std::unique_ptr<ShardedEngine> ShardedEngine::Restore(const std::string& dir,

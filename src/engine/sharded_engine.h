@@ -24,7 +24,8 @@
 // Flush waits until applied catches the acquire-summed enqueued targets.
 //
 // K == 1 degenerates to a single-summary engine (still useful for moving
-// ingestion off the caller's thread).
+// ingestion off the caller's thread); its lone shard is its own only
+// partition, so it answers through the same partition hooks.
 //
 // ---- Thread-safety contract (what tests/multi_producer_test.cc,
 // tests/sharded_engine_test.cc and the CI TSan job enforce) -------------
@@ -359,29 +360,30 @@ class ShardedEngine {
 
   /// Builds a frame-fed engine (a replica) from a cold round: for every
   /// shard in [0, num_shards), a full frame, optionally followed by delta
-  /// frames that chain onto it, decoded in order.  CaptureFrames against
-  /// empty baselines emits the plain case; Restore feeds each checkpoint
-  /// chain through here.  A round that leaves a shard without state, a
-  /// delta with no full frame before it, or zero shards is refused.  The
-  /// shard set must pass the same validation as ApplyFrames (same
-  /// structure, options and seed on every shard; windows aligned on
-  /// rotations); `exec` supplies only the execution knobs, as for
-  /// Restore.  Returns nullptr with the reason in *status otherwise.
+  /// frames that chain onto it.  CaptureFrames against empty baselines
+  /// emits the plain case; Restore feeds each checkpoint chain through
+  /// here.  A round that leaves a shard without a full frame, a delta
+  /// with no full frame before it, or zero shards is refused as
+  /// InvalidArgument before anything is built.  Otherwise this is Create
+  /// (frame 0's header supplies algorithm and options, `exec` only the
+  /// execution knobs) followed by ApplyFrames(frames).  Returns nullptr
+  /// with the reason in *status when any step refuses.
   static std::unique_ptr<ShardedEngine> FromFrames(
       const std::vector<ShardFrame>& frames, size_t num_shards,
       const ShardedEngineOptions& exec, Status* status = nullptr);
 
-  /// The inverse of CaptureFrames: commits one round of frames (full
-  /// snapshot or delta containers; frames for the same shard apply in
-  /// order) as ONE atomic step under the state mutex.  Every frame goes
-  /// through the same decoder as FromFrames and is staged off to the side
-  /// (a delta onto a copy of the shard), and the resulting shard set must
-  /// match this engine's shard 0 in structure, options and seed and pass
-  /// FromFrames' validation.  A refused round (Corruption,
-  /// InvalidArgument) leaves the engine exactly at its previous committed
-  /// round and a query never sees shards of two rounds.  Safe from any
-  /// thread concurrently with queries; meant for frame-fed engines, which
-  /// have no producers (the frames replace shard state wholesale).
+  /// The inverse of CaptureFrames and the one commit for shard state
+  /// from outside (FromFrames and Restore end here too): applies one
+  /// round of frames (full snapshot or delta containers; frames for the
+  /// same shard apply in order) as ONE atomic step under the state mutex.
+  /// Every frame is decoded off to the side (a delta onto the round's
+  /// staged shard, else onto a copy of the live one), and the resulting
+  /// shard set must match shard 0 in structure, options and seed, with
+  /// windows aligned on rotations.  A refused round (Corruption,
+  /// InvalidArgument) leaves the engine at its previous committed round
+  /// and a query never sees shards of two rounds.  Safe from any thread
+  /// concurrently with queries; meant for frame-fed engines, which have
+  /// no producers (the frames replace shard state wholesale).
   Status ApplyFrames(const std::vector<ShardFrame>& frames);
 
   /// Rebuilds an engine from a Checkpoint directory and resumes ingestion
@@ -394,7 +396,7 @@ class ShardedEngine {
   /// complete generation, so a crash mid-checkpoint (or a stale manifest
   /// over a lost delta) costs at most one checkpoint of progress, never
   /// the directory.  Each shard's chain (full file, then deltas) is read
-  /// as frames and decoded by FromFrames, the same path as a replica's
+  /// as frames and built by FromFrames, the same path as a replica's
   /// cold round; the built engine must then match the manifest's
   /// algorithm and per-shard item and rotation clocks, or the generation
   /// is Corruption.  `exec` supplies only the execution knobs
@@ -492,13 +494,13 @@ class ShardedEngine {
                     size_t n);
   // Releases a slot claimed by RegisterProducer (Producer destructor).
   void ReleaseProducer(size_t slot);
-  // Sum of every slot's enqueued counter for one shard / for all shards,
-  // acquire-ordered (the Flush targets).
+  // Sum of every slot's enqueued counter for one shard, acquire-ordered
+  // (the Flush target).
   uint64_t ShardEnqueued(size_t shard_index) const;
-  uint64_t TotalApplied() const;
   // Captures the per-shard SlidingWindowSummary pointers (or clears them
   // for a plain algorithm) and switches the windows to external rotation;
-  // `restored_rotations` seeds the global rotation clock after Restore.
+  // `restored_rotations` seeds the global rotation clock after
+  // ApplyFrames.
   void BindWindows(uint64_t restored_rotations);
   // The claimant of bucket `bucket`'s first position waits for bucket-1
   // to have rotated and for the global applied count to reach the
@@ -514,8 +516,6 @@ class ShardedEngine {
                              uint32_t max_delta_chain,
                              std::vector<ShardFrame>* frames,
                              uint64_t* total_applied);
-  // ApplyFrames body; requires state_mutex_ held and workers parked.
-  Status ApplyFramesLocked(const std::vector<ShardFrame>& frames);
   // Shared Checkpoint / CheckpointDelta body: capture frames against the
   // newest on-disk manifest (when `incremental`), write the changed
   // files, seal the new generation with its manifest, prune old ones.

@@ -181,11 +181,6 @@ double SlidingWindowSummary::Estimate(uint64_t item) const {
   return MergedWindow().Estimate(item);
 }
 
-std::vector<ItemEstimate> SlidingWindowSummary::HeavyHitters(
-    double phi) const {
-  return MergedWindow().HeavyHitters(phi);
-}
-
 uint64_t SlidingWindowSummary::PartitionSamples() const {
   // A merge sums its inputs' samples, so the buckets answer without one.
   uint64_t samples = 0;

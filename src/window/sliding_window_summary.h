@@ -94,10 +94,6 @@ class SlidingWindowSummary : public Summary {
   /// window_items() ingested items), in window units.
   double Estimate(uint64_t item) const override;
 
-  /// Heavy hitters of the covered window at threshold phi * window_items(),
-  /// under the eps' = eps + 1/B contract.
-  std::vector<ItemEstimate> HeavyHitters(double phi) const override;
-
   /// Total items ever ingested (the global stream position, NOT the
   /// window coverage — the engine's restore counters and the snapshot
   /// header both need the former; see window_items()).
@@ -108,7 +104,9 @@ class SlidingWindowSummary : public Summary {
   /// The partition hook, forwarded to the merged window (the samples
   /// are summed over the buckets, as a merge would): K rotation-aligned
   /// shard rings cover the same global window, so the union of their
-  /// partition reports answers for it.
+  /// partition reports answers for it.  HeavyHitters is the base default,
+  /// this hook against the window's own totals, under the eps' = eps +
+  /// 1/B contract.
   uint64_t PartitionSamples() const override;
   std::vector<ItemEstimate> PartitionHeavyHitters(
       double phi, const PartitionTotals& totals) const override;
