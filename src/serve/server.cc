@@ -142,7 +142,13 @@ void Server::Run(const std::function<void(int fd)>& handler) {
       std::lock_guard<std::mutex> lock(conn_mutex_);
       conn_fds_.push_back(fd);
     }
-    connections.emplace_back([&handler, fd] { handler(fd); });
+    connections.emplace_back([this, &handler, fd] {
+      if (handler) return handler(fd);
+      LineReader reader(fd);
+      std::string line;
+      while (NextRequest(reader, fd, &line) && QueryVerb(line, fd)) {
+      }
+    });
   }
   Stop();
   // Orderly teardown: kick every live connection off its read, join the
@@ -190,9 +196,17 @@ bool Server::QueryVerb(const std::string& line, int fd) {
   const bool heavy = line == "heavy" || line.rfind("heavy ", 0) == 0;
   const bool estimate = line.rfind("estimate ", 0) == 0;
   const bool trace = line == "trace" || line.rfind("trace ", 0) == 0;
-  if (hooks_.queries != nullptr &&
-      (heavy || estimate || trace || line == "metrics" || line == "slow")) {
+  const bool stats = line == "stats" && hooks_.stats;
+  if (hooks_.queries != nullptr && (heavy || estimate || trace || stats ||
+                                    line == "metrics" || line == "slow")) {
     hooks_.queries->Inc();
+  }
+  if (stats) {
+    obs::QuerySpan span("stats");
+    const std::string reply = hooks_.stats();
+    obs::ScopedPhase write_phase("reply_write");
+    WriteLine(fd, reply);
+    return true;
   }
   if (heavy || estimate) {
     double phi = options_.default_phi;

@@ -6,6 +6,8 @@
 //   heavy [phi]         "hh <count>" then one "<item> <estimate>" line per
 //                       hitter
 //   estimate <item>     "est <item> <value>"
+//   stats               one "stats ..." line, which each binary builds
+//                       (Hooks::stats)
 //   metrics             "metrics <N>" then N lines of Prometheus-style
 //                       text exposition from the telemetry registry
 //   trace [N [sev]]     "trace <K>" then the K most recent trace events
@@ -15,9 +17,9 @@
 //   quit                close this connection
 //   shutdown            "ok", then stop the process
 //
-// Anything else gets "err unknown request '<line>'".  Each binary keeps
-// only its own verbs (l1hh_serve: ingest, flush, stats, replicate/sync;
-// l1hh_replica: stats) and tries them before QueryVerb.
+// Anything else gets "err unknown request '<line>'".  l1hh_serve keeps its
+// own verbs (ingest, flush, replicate/sync) and tries them before
+// QueryVerb; l1hh_replica has none and runs the plain query loop.
 #ifndef L1HH_SERVE_SERVER_H_
 #define L1HH_SERVE_SERVER_H_
 
@@ -62,6 +64,8 @@ class Server {
     std::function<void()> before_scrape;
     /// GET /readyz; unset means 200 "ok" until the server stops.
     std::function<obs::HttpResponse()> readyz;
+    /// The `stats` reply line.
+    std::function<std::string()> stats;
     /// Counts every query verb when set.
     obs::Counter* queries = nullptr;
   };
@@ -82,9 +86,10 @@ class Server {
   void Announce() const;
 
   /// Accepts until a `shutdown` verb or a signal, running `handler(fd)` on
-  /// a thread per connection; then kicks every connection off its read,
-  /// joins the handlers, closes their sockets and stops HTTP.
-  void Run(const std::function<void(int fd)>& handler);
+  /// a thread per connection (unset: answer QueryVerb until it says
+  /// close); then kicks every connection off its read, joins the
+  /// handlers, closes their sockets and stops HTTP.
+  void Run(const std::function<void(int fd)>& handler = {});
 
   bool stopping() const { return stop_.load(std::memory_order_relaxed); }
 

@@ -15,14 +15,20 @@ namespace l1hh {
 namespace serve {
 namespace {
 
-bool ParseDouble(const std::string& text, double* out) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) {
-    return false;
+size_t EditDistance(const std::string& a, const std::string& b) {
+  std::vector<size_t> row(b.size() + 1);
+  for (size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (size_t i = 1; i <= a.size(); ++i) {
+    size_t diag = row[0];
+    row[0] = i;
+    for (size_t j = 1; j <= b.size(); ++j) {
+      const size_t up = row[j];
+      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
+                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diag = up;
+    }
   }
-  *out = value;
-  return true;
+  return row[b.size()];
 }
 
 // Why a ReadLine inside a round came back empty-handed.
@@ -107,8 +113,60 @@ bool ParseU64(const char* text, uint64_t* out) {
   return true;
 }
 
+bool ParseDouble(const std::string& text, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParsePhi(const std::string& text, double* phi) {
   return ParseDouble(text, phi) && *phi > 0.0 && *phi <= 1.0;
+}
+
+bool SplitFlag(int argc, char** argv, int* i, std::string* key,
+               std::string* value) {
+  *key = argv[*i];
+  const size_t eq = key->find('=');
+  if (eq != std::string::npos) {
+    *value = key->substr(eq + 1);
+    key->resize(eq);
+  } else if (*i + 1 < argc) {
+    *value = argv[++*i];
+  } else {
+    std::fprintf(stderr, "flag %s needs a value\n", key->c_str());
+    return false;
+  }
+  if (value->empty()) {
+    std::fprintf(stderr, "flag %s needs a non-empty value\n", key->c_str());
+    return false;
+  }
+  return true;
+}
+
+bool MalformedFlag(const std::string& key, const std::string& value) {
+  std::fprintf(stderr, "flag %s: malformed value '%s'\n", key.c_str(),
+               value.c_str());
+  return false;
+}
+
+bool PrintUnknownFlag(const std::string& key,
+                      std::span<const char* const> known) {
+  std::string best;
+  size_t best_distance = 3;  // suggest only near misses
+  for (const char* flag : known) {
+    const size_t d = EditDistance(key, flag);
+    if (d < best_distance) {
+      best_distance = d;
+      best = flag;
+    }
+  }
+  const std::string hint = best.empty() ? "" : " (did you mean " + best + "?)";
+  std::fprintf(stderr, "unknown flag: %s%s\n", key.c_str(), hint.c_str());
+  return false;
 }
 
 bool LineReader::ReadLine(std::string* line) {

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,10 +58,27 @@ std::vector<std::string> Fields(const std::string& line);
 /// else (a sign, leading blanks, junk, or out of range).
 bool ParseU64(const char* text, uint64_t* out);
 
+/// One finite decimal, nothing after it.
+bool ParseDouble(const std::string& text, double* out);
+
 /// A heavy-hitter threshold for the `heavy <phi>` verb and every --phi
 /// flag: one finite decimal in (0, 1], nothing after it.
 bool ParsePhi(const std::string& text, double* phi);
 inline constexpr const char* kPhiRangeError = "phi must be in (0, 1]";
+
+/// The command-line flag at argv[*i], as `--key=value` or `--key value`
+/// (then *i moves past the value).  False, after saying why on stderr,
+/// when the value is missing or empty.
+bool SplitFlag(int argc, char** argv, int* i, std::string* key,
+               std::string* value);
+
+/// "flag <key>: malformed value '<value>'" on stderr; returns false.
+bool MalformedFlag(const std::string& key, const std::string& value);
+
+/// "unknown flag: <key>" on stderr, with a did-you-mean hint when one of
+/// `known` is a near miss; returns false.
+bool PrintUnknownFlag(const std::string& key,
+                      std::span<const char* const> known);
 
 /// Buffered reader that supports both newline framing (text requests)
 /// and exact-length reads (`bin N` payloads, replication frames).

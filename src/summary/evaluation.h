@@ -49,6 +49,14 @@ struct SummaryRunResult {
   std::vector<uint64_t> report_exact; // exact f(x) per report entry
 };
 
+/// Mean wall-clock nanoseconds per item over `n` items since `start`.
+inline double NsPerItem(std::chrono::steady_clock::time_point start,
+                        size_t n) {
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  return elapsed.count() / static_cast<double>(n == 0 ? 1 : n);
+}
+
 /// Scores `report` (already filled into `r.report`) against the exact
 /// counts of `stream` (for a windowed summary: the covered suffix);
 /// fills the recall/precision/error fields.
@@ -131,12 +139,7 @@ inline SummaryRunResult RunRegisteredSummary(
 
   const auto start = std::chrono::steady_clock::now();
   summary->UpdateBatch(stream);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  r.update_ns =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()) /
-      static_cast<double>(stream.empty() ? 1 : stream.size());
+  r.update_ns = NsPerItem(start, stream.size());
 
   r.report = summary->HeavyHitters(phi);
   ScoreSummaryReport(r,
@@ -205,13 +208,8 @@ inline SummaryRunResult RunEngineSummary(
     for (auto& t : threads) t.join();
   }
   engine->Flush();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
   r.ok = true;
-  r.update_ns =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()) /
-      static_cast<double>(stream.empty() ? 1 : stream.size());
+  r.update_ns = NsPerItem(start, stream.size());
 
   r.report = engine->HeavyHitters(phi);
   // The report answers for the shards' summed coverage: the whole stream,

@@ -55,7 +55,8 @@
 //   l1hh_cli min --epsilon=0.05 --n=<universe> --m=<length>
 //
 // Flags accept both `--key=value` and `--key value`; unknown flags are
-// rejected (with a did-you-mean hint), never silently ignored.  Legacy
+// rejected (with a did-you-mean hint), never silently ignored, nor is a
+// malformed number (src/serve/wire.h, shared with l1hh_serve).  Legacy
 // names (optimal, simple, mg, spacesaving) are accepted as --algo aliases.
 // `l1hh_cli --algo=<name>` with no command is shorthand for `run`.
 // stdin ids are whole decimal u64 fields (one per line; two for
@@ -70,21 +71,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <iterator>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/epsilon_maximum.h"
 #include "core/epsilon_minimum.h"
 #include "engine/sharded_engine.h"
 #include "group/grouped_summary.h"
+#include "io/durable_file.h"
 #include "io/snapshot.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
@@ -173,48 +170,15 @@ const char* const kKnownFlags[] = {
     "--audit",
 };
 
-size_t EditDistance(const std::string& a, const std::string& b) {
-  std::vector<size_t> row(b.size() + 1);
-  for (size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (size_t i = 1; i <= a.size(); ++i) {
-    size_t diag = row[0];
-    row[0] = i;
-    for (size_t j = 1; j <= b.size(); ++j) {
-      const size_t up = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1,
-                         diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = up;
-    }
-  }
-  return row[b.size()];
-}
-
-void PrintUnknownFlag(const std::string& key) {
-  std::string best;
-  size_t best_distance = 3;  // suggest only near misses
-  for (const char* known : kKnownFlags) {
-    const size_t d = EditDistance(key, known);
-    if (d < best_distance) {
-      best_distance = d;
-      best = known;
-    }
-  }
-  if (best.empty()) {
-    std::fprintf(stderr, "unknown flag: %s\n", key.c_str());
-  } else {
-    std::fprintf(stderr, "unknown flag: %s (did you mean %s?)\n",
-                 key.c_str(), best.c_str());
-  }
-}
-
 bool Parse(int argc, char** argv, Args* out) {
   int i = 1;
   if (i < argc && argv[i][0] != '-') {
     out->command = argv[i];
     ++i;
   }
+  std::string key, value;
   for (; i < argc; ++i) {
-    std::string key = argv[i];
+    key = argv[i];
     if (key.rfind("--", 0) != 0) {
       // Bare tokens after the command are positional arguments (the
       // snapshot files of `load` / `merge`).
@@ -241,7 +205,9 @@ bool Parse(int argc, char** argv, Args* out) {
       // --stats, intercepted so bare --audit never swallows a token.
       out->audit = true;
       if (key != "--audit") {
-        out->audit_rate = std::strtoull(key.c_str() + 8, nullptr, 10);
+        if (!serve::ParseU64(key.c_str() + 8, &out->audit_rate)) {
+          return serve::MalformedFlag("--audit", key.substr(8));
+        }
         if (out->audit_rate == 0) {
           std::fprintf(stderr, "--audit rate must be >= 1\n");
           return false;
@@ -249,30 +215,16 @@ bool Parse(int argc, char** argv, Args* out) {
       }
       continue;
     }
-    std::string value;
-    const size_t eq = key.find('=');
-    if (eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag %s needs a value\n", key.c_str());
-        return false;
-      }
-      value = argv[++i];
-    }
-    if (value.empty()) {
-      std::fprintf(stderr, "flag %s needs a non-empty value\n", key.c_str());
-      return false;
-    }
+    if (!serve::SplitFlag(argc, argv, &i, &key, &value)) return false;
+    bool ok = true;
     if (key == "--kind") {
       out->kind = value;
     } else if (key == "--algo" || key == "--algorithm") {
       out->algorithm = CanonicalAlgoName(value);
     } else if (key == "--alpha") {
-      out->alpha = std::atof(value.c_str());
+      ok = serve::ParseDouble(value, &out->alpha);
     } else if (key == "--epsilon") {
-      out->epsilon = std::atof(value.c_str());
+      ok = serve::ParseDouble(value, &out->epsilon);
     } else if (key == "--phi") {
       if (!serve::ParsePhi(value, &out->phi)) {
         std::fprintf(stderr, "--phi: %s\n", serve::kPhiRangeError);
@@ -280,33 +232,33 @@ bool Parse(int argc, char** argv, Args* out) {
       }
       out->phi_given = true;
     } else if (key == "--delta") {
-      out->delta = std::atof(value.c_str());
+      ok = serve::ParseDouble(value, &out->delta);
     } else if (key == "--n") {
-      out->n = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->n);
     } else if (key == "--m") {
-      out->m = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->m);
     } else if (key == "--seed") {
-      out->seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->seed);
     } else if (key == "--shards") {
-      out->shards = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->shards);
     } else if (key == "--threads") {
-      out->threads = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->threads);
     } else if (key == "--out") {
       out->out = value;
     } else if (key == "--save") {
       out->save_path = value;
     } else if (key == "--window") {
-      out->window = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->window);
     } else if (key == "--buckets") {
-      out->buckets = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->buckets);
     } else if (key == "--format") {
       out->format = value;
     } else if (key == "--groups") {
-      out->groups = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->groups);
     } else {
-      PrintUnknownFlag(key);
-      return false;
+      return serve::PrintUnknownFlag(key, kKnownFlags);
     }
+    if (!ok) return serve::MalformedFlag(key, value);
   }
   if (out->epsilon <= 0 || out->delta <= 0) {
     std::fprintf(stderr, "--epsilon and --delta must be > 0\n");
@@ -426,6 +378,7 @@ bool ReadStdinRows(const std::vector<std::vector<uint64_t>*>& columns,
 struct GroupedColumns {
   std::vector<uint64_t> groups;
   std::vector<uint64_t> items;
+  std::vector<std::vector<uint64_t>> tenant;  // generated: per-tenant streams
 };
 
 /// The multi-tenant stream shared by `generate --groups` and `run
@@ -436,14 +389,14 @@ struct GroupedColumns {
 GroupedColumns MakeGroupedStream(const Args& a, uint64_t tenants,
                                  uint64_t m_total) {
   const uint64_t per_tenant = std::max<uint64_t>(1, m_total / tenants);
-  std::vector<std::vector<uint64_t>> tenant(tenants);
+  GroupedColumns out;
+  out.tenant.resize(tenants);
   for (uint64_t t = 0; t < tenants; ++t) {
     const uint64_t seed = a.seed + 101 * t;
-    tenant[t] = a.kind == "uniform"
-                    ? MakeUniformStream(a.n, per_tenant, seed)
-                    : MakeZipfStream(a.n, a.alpha, per_tenant, seed);
+    out.tenant[t] = a.kind == "uniform"
+                        ? MakeUniformStream(a.n, per_tenant, seed)
+                        : MakeZipfStream(a.n, a.alpha, per_tenant, seed);
   }
-  GroupedColumns out;
   out.groups.reserve(per_tenant * tenants);
   out.items.reserve(per_tenant * tenants);
   constexpr uint64_t kRun = 64;
@@ -452,7 +405,7 @@ GroupedColumns MakeGroupedStream(const Args& a, uint64_t tenants,
     for (uint64_t t = 0; t < tenants; ++t) {
       for (uint64_t i = 0; i < take; ++i) {
         out.groups.push_back(t);
-        out.items.push_back(tenant[t][base + i]);
+        out.items.push_back(out.tenant[t][base + i]);
       }
     }
   }
@@ -470,6 +423,37 @@ SummaryOptions ToSummaryOptions(const Args& a, uint64_t stream_length) {
   opt.window_size = a.window;
   if (a.buckets != 0) opt.window_buckets = a.buckets;
   return opt;
+}
+
+/// Reports a refused --algo; returns exit code 2.  The `l1hh_cli list`
+/// hint fits an unknown name only, not an engine or option refusal.
+int Refused(const Args& a, const std::string& why) {
+  std::string_view inner = a.algorithm;
+  if (IsWindowedSummaryName(inner)) inner.remove_prefix(kWindowedPrefix.size());
+  const std::vector<std::string> names = RegisteredSummaryNames();
+  const bool known =
+      std::find(names.begin(), names.end(), inner) != names.end();
+  std::fprintf(stderr, "%s%s\n", why.c_str(),
+               known ? "" : "; try `l1hh_cli list`");
+  return 2;
+}
+
+int Refused(const Args& a, const Status& status) {
+  return Refused(a, "--algo " + a.algorithm + ": " + status.ToString());
+}
+
+/// --algo over stdin's ids, declared stream length `m`; nullptr after
+/// reporting a refusal.
+std::unique_ptr<Summary> DriveSummary(const Args& a, uint64_t m,
+                                      const std::vector<uint64_t>& items) {
+  Status status;
+  auto summary = MakeSummary(a.algorithm, ToSummaryOptions(a, m), &status);
+  if (summary == nullptr) {
+    Refused(a, status);
+  } else {
+    summary->UpdateBatch(items);
+  }
+  return summary;
 }
 
 int CmdList() {
@@ -507,14 +491,8 @@ int CmdGenerate(const Args& a) {
 /// Drives one registered summary over `items` and prints its report.
 int CmdHeavy(const Args& a, const std::vector<uint64_t>& items) {
   const uint64_t m = a.m != 0 ? a.m : items.size();
-  Status status;
-  auto summary = MakeSummary(a.algorithm, ToSummaryOptions(a, m), &status);
-  if (summary == nullptr) {
-    std::fprintf(stderr, "--algo %s: %s; try `l1hh_cli list`\n",
-                 a.algorithm.c_str(), status.ToString().c_str());
-    return 2;
-  }
-  summary->UpdateBatch(items);
+  const auto summary = DriveSummary(a, m, items);
+  if (summary == nullptr) return 2;
   const auto hitters = summary->HeavyHitters(a.phi);
   // Windowed: the report (and its percentages) cover the ring's suffix,
   // not the whole stream.  CoveredItems == ItemsProcessed for plain
@@ -549,11 +527,7 @@ int CmdHeavyGrouped(const Args& a) {
       ToSummaryOptions(a, a.m != 0 ? a.m : in.items.size());
   Status status;
   auto grouped = GroupedSummary::Create(grouped_options, &status);
-  if (grouped == nullptr) {
-    std::fprintf(stderr, "--algo %s: %s; try `l1hh_cli list`\n",
-                 a.algorithm.c_str(), status.ToString().c_str());
-    return 2;
-  }
+  if (grouped == nullptr) return Refused(a, status);
   grouped->UpdateColumn(in.groups.data(), in.items.data(), in.items.size());
   std::printf("# %s: %zu groups over %llu rows (%zu bytes)\n",
               a.algorithm.c_str(), grouped->group_count(),
@@ -586,15 +560,8 @@ int CmdSave(const Args& a, const std::vector<uint64_t>& items) {
     std::fprintf(stderr, "save needs --out=FILE\n");
     return 2;
   }
-  const uint64_t m = a.m != 0 ? a.m : items.size();
-  Status status;
-  auto summary = MakeSummary(a.algorithm, ToSummaryOptions(a, m), &status);
-  if (summary == nullptr) {
-    std::fprintf(stderr, "--algo %s: %s; try `l1hh_cli list`\n",
-                 a.algorithm.c_str(), status.ToString().c_str());
-    return 2;
-  }
-  summary->UpdateBatch(items);
+  const auto summary = DriveSummary(a, a.m != 0 ? a.m : items.size(), items);
+  if (summary == nullptr) return 2;
   const Status saved = SaveSummaryToFile(*summary, a.out);
   if (!saved.ok()) {
     std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
@@ -659,10 +626,8 @@ int CmdLoad(const Args& a) {
   // One file read; the header peek and the reconstruction each parse the
   // shared buffer (twice through the container — fine on a CLI path, and
   // it guarantees both views describe the same bytes).
-  std::ifstream file(path, std::ios::binary);
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(file)),
-                             std::istreambuf_iterator<char>());
-  if (!file && bytes.empty()) {
+  std::vector<uint8_t> bytes;
+  if (!ReadFileBytes(path, &bytes).ok()) {
     std::fprintf(stderr, "load failed: cannot read '%s'\n", path.c_str());
     return 1;
   }
@@ -697,11 +662,8 @@ int CmdLoad(const Args& a) {
   }
   SnapshotInfo info;
   Status status = ReadSnapshotInfo(bytes, &info);
-  if (!status.ok()) {
-    std::fprintf(stderr, "load failed: %s\n", status.ToString().c_str());
-    return 1;
-  }
-  auto summary = LoadSummary(bytes, &status);
+  std::unique_ptr<Summary> summary;
+  if (status.ok()) summary = LoadSummary(bytes, &status);
   if (summary == nullptr) {
     std::fprintf(stderr, "load failed: %s\n", status.ToString().c_str());
     return 1;
@@ -805,23 +767,22 @@ int CmdMerge(const Args& a) {
     return 2;
   }
   Status status;
-  auto merged = LoadSummaryFromFile(a.positional[0], &status);
-  if (merged == nullptr) {
-    std::fprintf(stderr, "merge: cannot load '%s': %s\n",
-                 a.positional[0].c_str(), status.ToString().c_str());
-    return 1;
-  }
-  for (size_t i = 1; i < a.positional.size(); ++i) {
-    auto next = LoadSummaryFromFile(a.positional[i], &status);
+  std::unique_ptr<Summary> merged;
+  for (const std::string& path : a.positional) {
+    auto next = LoadSummaryFromFile(path, &status);
     if (next == nullptr) {
-      std::fprintf(stderr, "merge: cannot load '%s': %s\n",
-                   a.positional[i].c_str(), status.ToString().c_str());
+      std::fprintf(stderr, "merge: cannot load '%s': %s\n", path.c_str(),
+                   status.ToString().c_str());
       return 1;
+    }
+    if (merged == nullptr) {
+      merged = std::move(next);
+      continue;
     }
     status = merged->Merge(*next);
     if (!status.ok()) {
       std::fprintf(stderr, "merge: '%s' + '%s': %s\n",
-                   a.positional[0].c_str(), a.positional[i].c_str(),
+                   a.positional[0].c_str(), path.c_str(),
                    status.ToString().c_str());
       return 1;
     }
@@ -852,6 +813,18 @@ int CmdMerge(const Args& a) {
   return 0;
 }
 
+/// Reports `run --save=FILE`: false after "--save failed", else "<what>
+/// written to FILE", on stderr in json mode (stdout holds one object).
+bool Saved(const Args& a, const Status& saved, const char* what) {
+  if (!saved.ok()) {
+    std::fprintf(stderr, "--save failed: %s\n", saved.ToString().c_str());
+    return false;
+  }
+  std::fprintf(a.format == "json" ? stderr : stdout, "%s written to %s\n",
+               what, a.save_path.c_str());
+  return true;
+}
+
 /// `run --group-col`: self-contained grouped accuracy run.  Generates
 /// --groups tenants' Zipf streams (clustered in runs, as MakeGroupedStream
 /// documents), ingests them through GroupedSummary::UpdateColumn, and
@@ -869,52 +842,18 @@ int CmdRunGrouped(const Args& a) {
   grouped_options.summary = ToSummaryOptions(a, per_tenant);
   Status status;
   auto grouped = GroupedSummary::Create(grouped_options, &status);
-  if (grouped == nullptr) {
-    std::fprintf(stderr, "--algo %s: %s; try `l1hh_cli list`\n",
-                 a.algorithm.c_str(), status.ToString().c_str());
-    return 2;
-  }
+  if (grouped == nullptr) return Refused(a, status);
   const auto start = std::chrono::steady_clock::now();
   grouped->UpdateColumn(gs.groups.data(), gs.items.data(), gs.items.size());
-  const auto end = std::chrono::steady_clock::now();
-  const double update_ns =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-              .count()) /
-      static_cast<double>(gs.items.size());
+  const double update_ns = NsPerItem(start, gs.items.size());
 
-  // Exact per-tenant truth, same convention as the evaluation harness:
-  // heavy means f > phi * (that tenant's length).
-  std::vector<std::unordered_map<uint64_t, uint64_t>> exact(tenants);
-  for (size_t i = 0; i < gs.items.size(); ++i) {
-    ++exact[gs.groups[i]][gs.items[i]];
-  }
-  struct GroupScore {
-    uint64_t group = 0;
-    uint64_t items = 0;
-    size_t true_heavies = 0;
-    size_t recalled = 0;
-    size_t reported = 0;
-  };
-  std::vector<GroupScore> scores(tenants);
+  // Each tenant's report scored against its own stream.
+  std::vector<SummaryRunResult> scores(tenants);
   bool all_recalled = true;
   for (uint64_t t = 0; t < tenants; ++t) {
-    GroupScore& s = scores[t];
-    s.group = t;
-    const Summary* summary = grouped->Find(t);
-    s.items = summary != nullptr ? summary->ItemsProcessed() : 0;
-    const auto report = grouped->HeavyHitters(t, a.phi);
-    s.reported = report.size();
-    std::unordered_set<uint64_t> reported_set;
-    for (const auto& hh : report) reported_set.insert(hh.item);
-    const double threshold = a.phi * static_cast<double>(s.items);
-    for (const auto& [item, count] : exact[t]) {
-      if (static_cast<double>(count) > threshold) {
-        ++s.true_heavies;
-        if (reported_set.count(item) != 0) ++s.recalled;
-      }
-    }
-    if (s.recalled != s.true_heavies) all_recalled = false;
+    scores[t].report = grouped->HeavyHitters(t, a.phi);
+    ScoreSummaryReport(scores[t], gs.tenant[t], a.phi, a.epsilon);
+    all_recalled = all_recalled && scores[t].recalled == scores[t].true_heavies;
   }
 
   if (!a.stats.empty()) grouped->PublishMetrics();
@@ -929,17 +868,12 @@ int CmdRunGrouped(const Args& a) {
                 a.phi, static_cast<unsigned long long>(a.seed), update_ns,
                 grouped->MemoryUsageBytes() * 8);
     for (uint64_t t = 0; t < tenants; ++t) {
-      const GroupScore& s = scores[t];
+      const SummaryRunResult& s = scores[t];
       std::printf("%s{\"group\":%llu,\"items\":%llu,\"true_heavies\":%zu,"
                   "\"recalled\":%zu,\"reported\":%zu,\"recall\":%.6f}",
-                  t == 0 ? "" : ",",
-                  static_cast<unsigned long long>(s.group),
-                  static_cast<unsigned long long>(s.items), s.true_heavies,
-                  s.recalled, s.reported,
-                  s.true_heavies == 0
-                      ? 1.0
-                      : static_cast<double>(s.recalled) /
-                            static_cast<double>(s.true_heavies));
+                  t == 0 ? "" : ",", static_cast<unsigned long long>(t),
+                  static_cast<unsigned long long>(s.scored_items),
+                  s.true_heavies, s.recalled, s.report.size(), s.recall);
     }
     std::printf("]");
     if (!a.stats.empty()) {
@@ -956,24 +890,20 @@ int CmdRunGrouped(const Args& a) {
                 static_cast<unsigned long long>(a.seed), update_ns);
     std::printf("%-12s %12s %14s %10s %10s\n", "group", "items",
                 "true-heavies", "recalled", "reported");
-    for (const GroupScore& s : scores) {
+    for (uint64_t t = 0; t < tenants; ++t) {
+      const SummaryRunResult& s = scores[t];
       std::printf("%-12llu %12llu %14zu %10zu %10zu\n",
-                  static_cast<unsigned long long>(s.group),
-                  static_cast<unsigned long long>(s.items), s.true_heavies,
-                  s.recalled, s.reported);
+                  static_cast<unsigned long long>(t),
+                  static_cast<unsigned long long>(s.scored_items),
+                  s.true_heavies, s.recalled, s.report.size());
     }
     std::printf("groups: %zu live   memory: %zu bytes\n",
                 grouped->group_count(), grouped->MemoryUsageBytes());
     if (!a.stats.empty()) PrintStats(a.stats);
   }
-  if (!a.save_path.empty()) {
-    const Status saved = SaveGroupedToFile(*grouped, a.save_path);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "--save failed: %s\n", saved.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(a.format == "json" ? stderr : stdout,
-                 "grouped snapshot written to %s\n", a.save_path.c_str());
+  if (!a.save_path.empty() &&
+      !Saved(a, SaveGroupedToFile(*grouped, a.save_path), "grouped snapshot")) {
+    return 1;
   }
   return all_recalled ? 0 : 1;
 }
@@ -1004,19 +934,7 @@ int CmdRun(const Args& a) {
                                        a.shards, a.threads, &engine)
                    : RunRegisteredSummary(a.algorithm, options, stream,
                                           a.phi, &summary);
-  if (!r.ok) {
-    // The hint fits an unknown name only, not an engine or option refusal.
-    std::string_view inner = a.algorithm;
-    if (IsWindowedSummaryName(inner)) {
-      inner.remove_prefix(kWindowedPrefix.size());
-    }
-    const std::vector<std::string> names = RegisteredSummaryNames();
-    const bool known =
-        std::find(names.begin(), names.end(), inner) != names.end();
-    std::fprintf(stderr, "%s%s\n", r.error.c_str(),
-                 known ? "" : "; try `l1hh_cli list`");
-    return 2;
-  }
+  if (!r.ok) return Refused(a, r.error);
   // Scrape-time gauges (per-shard applied/high-water, per-slot enqueued)
   // are published by the engine; counters/histograms are already live.
   if (!a.stats.empty() && engine != nullptr) engine->PublishMetrics();
@@ -1089,47 +1007,26 @@ int CmdRun(const Args& a) {
   if (!a.save_path.empty()) {
     // Sharded runs snapshot the merged view — one file a coordinator can
     // merge with other runs, same as a single-summary snapshot.
-    const Status saved =
-        a.shards > 1 ? SaveSummaryToFile(engine->MergedView(), a.save_path)
-                     : SaveSummaryToFile(*summary, a.save_path);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "--save failed: %s\n", saved.ToString().c_str());
-      return 1;
-    }
-    // Keep stdout pure JSON in json mode (one object per run).
-    std::fprintf(a.format == "json" ? stderr : stdout,
-                 "snapshot written to %s\n", a.save_path.c_str());
+    const Summary& state = a.shards > 1 ? engine->MergedView() : *summary;
+    if (!Saved(a, SaveSummaryToFile(state, a.save_path), "snapshot")) return 1;
   }
   return r.recalled == r.true_heavies ? 0 : 1;
 }
 
-int CmdMax(const Args& a, const std::vector<uint64_t>& items) {
-  EpsilonMaximum::Options opt;
+/// `max` (EpsilonMaximum) or `min` (EpsilonMinimum) over stdin's ids.
+template <typename Sketch>
+int CmdExtreme(const Args& a, const std::vector<uint64_t>& items) {
+  typename Sketch::Options opt;
   opt.epsilon = a.epsilon;
   opt.delta = a.delta;
   opt.universe_size = a.n;
   opt.stream_length = a.m != 0 ? a.m : items.size();
-  EpsilonMaximum sketch(opt, a.seed);
-  for (const uint64_t x : items) sketch.Insert(x);
-  const HeavyHitter hh = sketch.Report();
-  std::printf("approx-max item %llu  count ~%.0f  (sketch: %zu bits)\n",
-              static_cast<unsigned long long>(hh.item), hh.estimated_count,
-              sketch.SpaceBits());
-  return 0;
-}
-
-int CmdMin(const Args& a, const std::vector<uint64_t>& items) {
-  EpsilonMinimum::Options opt;
-  opt.epsilon = a.epsilon;
-  opt.delta = a.delta;
-  opt.universe_size = a.n;
-  opt.stream_length = a.m != 0 ? a.m : items.size();
-  EpsilonMinimum sketch(opt, a.seed);
+  Sketch sketch(opt, a.seed);
   for (const uint64_t x : items) sketch.Insert(x);
   const auto r = sketch.Report();
-  std::printf("approx-min item %llu  count ~%.0f  (sketch: %zu bits)\n",
-              static_cast<unsigned long long>(r.item), r.estimated_count,
-              sketch.SpaceBits());
+  std::printf("approx-%s item %llu  count ~%.0f  (sketch: %zu bits)\n",
+              a.command.c_str(), static_cast<unsigned long long>(r.item),
+              r.estimated_count, sketch.SpaceBits());
   return 0;
 }
 
@@ -1189,6 +1086,6 @@ int main(int argc, char** argv) {
   if (!ReadStdinRows({&items}, "one decimal id")) return 2;
   if (args.command == "heavy") return CmdHeavy(args, items);
   if (args.command == "save") return CmdSave(args, items);
-  if (args.command == "max") return CmdMax(args, items);
-  return CmdMin(args, items);
+  if (args.command == "max") return CmdExtreme<EpsilonMaximum>(args, items);
+  return CmdExtreme<EpsilonMinimum>(args, items);
 }

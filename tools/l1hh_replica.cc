@@ -13,7 +13,7 @@
 // The replica serves the shared query verbs (src/serve/server.h) on its
 // OWN socket from that engine — and keeps serving after the primary dies
 // (the failover story: answers reflect the last completed sync, as
-// tests/replication_test.cc and the CI smoke pin).  Its own verb:
+// tests/replication_test.cc and the CI smoke pin).  Its stats line:
 //
 //   stats               "stats items=<primary items at last sync>
 //                       shards=<K> syncs=<completed syncs>
@@ -36,7 +36,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -71,50 +70,37 @@ struct ReplicaArgs {
   uint64_t slow_query_us = 10000;
 };
 
+const char* const kKnownFlags[] = {
+    "--primary", "--socket",    "--interval-ms",   "--phi",
+    "--http",    "--ready-lag", "--slow-query-us",
+};
+
 bool Parse(int argc, char** argv, ReplicaArgs* out) {
+  std::string key, value;
   for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    std::string value;
-    const size_t eq = key.find('=');
-    if (eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag %s needs a value\n", key.c_str());
-        return false;
-      }
-      value = argv[++i];
-    }
-    if (value.empty()) {
-      std::fprintf(stderr, "flag %s needs a non-empty value\n", key.c_str());
-      return false;
-    }
+    if (!serve::SplitFlag(argc, argv, &i, &key, &value)) return false;
+    bool ok = true;
     if (key == "--primary") {
       out->primary_path = value;
     } else if (key == "--socket") {
       out->socket_path = value;
     } else if (key == "--interval-ms") {
-      out->interval_ms = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->interval_ms);
     } else if (key == "--phi") {
       if (!serve::ParsePhi(value, &out->default_phi)) {
         std::fprintf(stderr, "--phi: %s\n", serve::kPhiRangeError);
         return false;
       }
     } else if (key == "--http") {
-      out->http_enabled = true;
-      out->http_port = std::strtoull(value.c_str(), nullptr, 10);
+      ok = out->http_enabled = serve::ParseU64(value.c_str(), &out->http_port);
     } else if (key == "--ready-lag") {
-      out->ready_lag = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->ready_lag);
     } else if (key == "--slow-query-us") {
-      out->slow_query_us = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->slow_query_us);
     } else {
-      std::fprintf(stderr,
-                   "unknown flag: %s\nknown flags: --primary --socket "
-                   "--interval-ms --phi --http --ready-lag --slow-query-us\n",
-                   key.c_str());
-      return false;
+      return serve::PrintUnknownFlag(key, kKnownFlags);
     }
+    if (!ok) return serve::MalformedFlag(key, value);
   }
   if (out->primary_path.empty() || out->socket_path.empty()) {
     std::fprintf(stderr, "--primary=<sock> and --socket=<sock> are required\n");
@@ -150,12 +136,18 @@ struct ReplicaState {
 };
 
 // The warm-standby health signal: primary items at the last completed
-// rsync minus items applied here, clamped at 0.  Caller holds
-// state.mutex.
+// rsync minus items applied here, clamped at 0.  Publishes it as the
+// l1hh_replica_lag_items gauge.  Caller holds state.mutex.
 uint64_t LagItemsLocked(const ReplicaState& state) {
   const uint64_t applied =
       state.engine == nullptr ? 0 : state.engine->ItemsProcessed();
-  return state.items > applied ? state.items - applied : 0;
+  const uint64_t lag = state.items > applied ? state.items - applied : 0;
+  obs::GetGauge("l1hh_replica_lag_items")->Set(static_cast<int64_t>(lag));
+  return lag;
+}
+
+const char* PrimaryWord(const ReplicaState& state) {
+  return state.primary_up.load(std::memory_order_relaxed) ? "up" : "lost";
 }
 
 // Ready to take over: synced at least once AND within --ready-lag of the
@@ -211,8 +203,6 @@ Status CommitRound(ReplicaState& state, const serve::ReplicationRound& round) {
   state.items = round.items;
   ++state.syncs;
   obs::GetCounter("l1hh_replica_sync_rounds_total")->Inc();
-  obs::GetGauge("l1hh_replica_lag_items")
-      ->Set(static_cast<int64_t>(LagItemsLocked(state)));
   obs::Trace(obs::Severity::kDebug, "replica.sync",
              static_cast<int64_t>(state.syncs),
              static_cast<int64_t>(state.items));
@@ -319,37 +309,6 @@ void ReplicationLoop(ReplicaState& state, const serve::Server& server,
   ::close(fd);
 }
 
-// ---- Query server (client-facing) --------------------------------------
-
-void HandleQueryConnection(serve::Server& server, ReplicaState& state,
-                           int fd) {
-  serve::LineReader reader(fd);
-  std::string line;
-  while (server.NextRequest(reader, fd, &line)) {
-    if (line == "stats") {
-      obs::QuerySpan span("stats");
-      std::string reply;
-      {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        const uint64_t lag = LagItemsLocked(state);
-        obs::GetGauge("l1hh_replica_lag_items")
-            ->Set(static_cast<int64_t>(lag));
-        reply = "stats items=" + std::to_string(state.items) +
-                " shards=" + std::to_string(state.num_shards) +
-                " syncs=" + std::to_string(state.syncs) + " primary=" +
-                (state.primary_up.load(std::memory_order_relaxed) ? "up"
-                                                                  : "lost") +
-                " algo=" + state.algorithm +
-                " lag_items=" + std::to_string(lag);
-      }
-      obs::ScopedPhase write_phase("reply_write");
-      serve::WriteLine(fd, reply);
-      continue;
-    }
-    if (!server.QueryVerb(line, fd)) break;
-  }
-}
-
 int RunReplica(const ReplicaArgs& args) {
   ReplicaState state;
   serve::Server::Hooks hooks;
@@ -362,8 +321,6 @@ int RunReplica(const ReplicaArgs& args) {
     // at audit_items; any lag behind it is genuine staleness and is
     // exactly what this audit should surface.
     std::lock_guard<std::mutex> lock(state.mutex);
-    obs::GetGauge("l1hh_replica_lag_items")
-        ->Set(static_cast<int64_t>(LagItemsLocked(state)));
     ReadyLocked(state, args);
     if (state.auditor != nullptr && state.audit_keys != 0 &&
         state.engine != nullptr) {
@@ -376,11 +333,17 @@ int RunReplica(const ReplicaArgs& args) {
     std::string body = ready ? "ok" : "not ready";
     body += " syncs=" + std::to_string(state.syncs) +
             " lag_items=" + std::to_string(LagItemsLocked(state)) +
-            " primary=" +
-            (state.primary_up.load(std::memory_order_relaxed) ? "up" : "lost") +
-            "\n";
+            " primary=" + PrimaryWord(state) + "\n";
     return obs::HttpResponse{ready ? 200 : 503, "text/plain; charset=utf-8",
                              body};
+  };
+  hooks.stats = [&state] {
+    std::lock_guard<std::mutex> lock(state.mutex);
+    return "stats items=" + std::to_string(state.items) +
+           " shards=" + std::to_string(state.num_shards) +
+           " syncs=" + std::to_string(state.syncs) +
+           " primary=" + PrimaryWord(state) + " algo=" + state.algorithm +
+           " lag_items=" + std::to_string(LagItemsLocked(state));
   };
   auto server = serve::Server::Start(
       {args.socket_path, args.default_phi, args.http_enabled,
@@ -393,9 +356,7 @@ int RunReplica(const ReplicaArgs& args) {
   server->Announce();
   std::thread replication(
       [&state, &server, &args] { ReplicationLoop(state, *server, args); });
-  server->Run([&server, &state](int fd) {
-    HandleQueryConnection(*server, state, fd);
-  });
+  server->Run();
   replication.join();
   server.reset();
   std::printf("replicated %llu items over %llu syncs\n",

@@ -30,8 +30,9 @@
 //     (Prometheus text exposition), /healthz, and /readyz on loopback.
 //
 // Wire protocol, one request per line (replies are lines too).  The
-// query verbs heavy / estimate / metrics / trace / slow / quit / shutdown
-// are the shared serving core's (src/serve/server.h); this binary adds
+// shared serving core (src/serve/server.h) answers heavy / estimate /
+// stats / metrics / trace / slow / quit / shutdown; this binary builds
+// the stats line and adds the rest:
 //
 //   <digits>            ingest one item id (no reply; staged per connection)
 //   bin <N>             ingest a binary batch: N little-endian u64 ids
@@ -65,7 +66,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -116,70 +116,51 @@ const char* const kKnownFlags[] = {
 };
 
 bool Parse(int argc, char** argv, ServeArgs* out) {
+  std::string key, value;
   for (int i = 1; i < argc; ++i) {
-    std::string key = argv[i];
-    std::string value;
-    const size_t eq = key.find('=');
-    if (eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag %s needs a value\n", key.c_str());
-        return false;
-      }
-      value = argv[++i];
-    }
-    if (value.empty()) {
-      std::fprintf(stderr, "flag %s needs a non-empty value\n", key.c_str());
-      return false;
-    }
+    if (!serve::SplitFlag(argc, argv, &i, &key, &value)) return false;
+    bool ok = true;
     if (key == "--socket") {
       out->socket_path = value;
     } else if (key == "--algo" || key == "--algorithm") {
       out->algorithm = value;
     } else if (key == "--epsilon") {
-      out->epsilon = std::atof(value.c_str());
+      ok = serve::ParseDouble(value, &out->epsilon);
     } else if (key == "--phi") {
       if (!serve::ParsePhi(value, &out->phi)) {
         std::fprintf(stderr, "--phi: %s\n", serve::kPhiRangeError);
         return false;
       }
     } else if (key == "--delta") {
-      out->delta = std::atof(value.c_str());
+      ok = serve::ParseDouble(value, &out->delta);
     } else if (key == "--n") {
-      out->n = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->n);
     } else if (key == "--m") {
-      out->m = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->m);
     } else if (key == "--seed") {
-      out->seed = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->seed);
     } else if (key == "--shards") {
-      out->shards = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->shards);
     } else if (key == "--threads") {
-      out->threads = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->threads);
     } else if (key == "--producers") {
-      out->producers = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->producers);
     } else if (key == "--window") {
-      out->window = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->window);
     } else if (key == "--buckets") {
-      out->buckets = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->buckets);
     } else if (key == "--http") {
-      out->http_enabled = true;
-      out->http_port = std::strtoull(value.c_str(), nullptr, 10);
+      ok = out->http_enabled = serve::ParseU64(value.c_str(), &out->http_port);
     } else if (key == "--audit-rate") {
-      out->audit_rate = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->audit_rate);
     } else if (key == "--audit-interval-ms") {
-      out->audit_interval_ms = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->audit_interval_ms);
     } else if (key == "--slow-query-us") {
-      out->slow_query_us = std::strtoull(value.c_str(), nullptr, 10);
+      ok = serve::ParseU64(value.c_str(), &out->slow_query_us);
     } else {
-      std::fprintf(stderr, "unknown flag: %s\nknown flags:", key.c_str());
-      for (const char* known : kKnownFlags) {
-        std::fprintf(stderr, " %s", known);
-      }
-      std::fprintf(stderr, "\n");
-      return false;
+      return serve::PrintUnknownFlag(key, kKnownFlags);
     }
+    if (!ok) return serve::MalformedFlag(key, value);
   }
   if (out->socket_path.empty()) {
     std::fprintf(stderr, "--socket=<path> is required\n");
@@ -322,30 +303,6 @@ void HandleConnection(serve::Server& server, const ServeState& state,
       serve::WriteLine(fd, "ok " + std::to_string(engine.ItemsProcessed()));
       continue;
     }
-    if (line == "stats") {
-      queries_ctr->Inc();
-      obs::QuerySpan span("stats");
-      // Per-slot enqueued counts + slot occupancy ride after the legacy
-      // fields (existing clients key on the prefix).  Slot exhaustion is
-      // visible here BEFORE ingesting connections start drawing "err".
-      const EngineMetrics m = engine.Metrics();
-      std::string reply =
-          "stats items=" + std::to_string(engine.ItemsProcessed()) +
-          " shards=" + std::to_string(engine.num_shards()) +
-          " threads=" + std::to_string(engine.num_threads()) +
-          " producers=" + std::to_string(m.active_producers) +
-          " algo=" + engine.algorithm() +
-          " slots=" + std::to_string(m.active_producers) + "/" +
-          std::to_string(m.max_producers - 1);
-      for (size_t p = 0; p < m.slot_enqueued.size(); ++p) {
-        reply += " slot" + std::to_string(p) + "=" +
-                 std::to_string(m.slot_enqueued[p]) +
-                 (m.slot_active[p] != 0 ? "*" : "");
-      }
-      obs::ScopedPhase write_phase("reply_write");
-      serve::WriteLine(fd, reply);
-      continue;
-    }
     if (line == "replicate" || line == "sync") {
       // "sync" before any "replicate" degenerates to a cold full sync:
       // the connection has no baselines, so every shard ships full.
@@ -445,6 +402,26 @@ int Serve(const ServeArgs& args) {
   hooks.before_scrape = [&state] {
     state.engine->PublishMetrics();
     if (state.auditor != nullptr) RunAudit(state);
+  };
+  hooks.stats = [&engine] {
+    // Per-slot enqueued counts + slot occupancy ride after the legacy
+    // fields (existing clients key on the prefix).  Slot exhaustion is
+    // visible here BEFORE ingesting connections start drawing "err".
+    const EngineMetrics m = engine->Metrics();
+    std::string reply =
+        "stats items=" + std::to_string(engine->ItemsProcessed()) +
+        " shards=" + std::to_string(engine->num_shards()) +
+        " threads=" + std::to_string(engine->num_threads()) +
+        " producers=" + std::to_string(m.active_producers) +
+        " algo=" + engine->algorithm() +
+        " slots=" + std::to_string(m.active_producers) + "/" +
+        std::to_string(m.max_producers - 1);
+    for (size_t p = 0; p < m.slot_enqueued.size(); ++p) {
+      reply += " slot" + std::to_string(p) + "=" +
+               std::to_string(m.slot_enqueued[p]) +
+               (m.slot_active[p] != 0 ? "*" : "");
+    }
+    return reply;
   };
   hooks.queries = obs::GetCounter("l1hh_serve_queries_total");
   auto server = serve::Server::Start(
