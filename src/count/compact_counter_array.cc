@@ -202,12 +202,24 @@ void CompactCounterArray::Serialize(BitWriter& out) const {
   WriteDenseCells(out);
 }
 
-void CompactCounterArray::Deserialize(BitReader& in) {
-  const size_t n = in.CheckedCount(in.ReadGamma() - 1);
-  Reset(n);
-  for (size_t i = 0; i < n; ++i) {
-    Assign(i, in.ReadCounter());
+void CompactCounterArray::InsertSpilled(
+    const std::vector<SpillSlot>& spilled) {
+  ReserveSpill(spilled.size());
+  for (const SpillSlot& slot : spilled) {
+    spill_[SpillProbe(slot.key - 1)] = slot;
   }
+  spill_count_ = spilled.size();
+}
+
+void CompactCounterArray::ReadDenseCells(BitReader& in) {
+  std::vector<SpillSlot> spilled;
+  for (size_t i = 0; i < size_; ++i) Assign(i, in.ReadCounter(), &spilled);
+  InsertSpilled(spilled);
+}
+
+void CompactCounterArray::Deserialize(BitReader& in) {
+  Reset(in.CheckedCount(in.ReadGamma() - 1));
+  ReadDenseCells(in);
 }
 
 void CompactCounterArray::SerializeSparse(BitWriter& out) const {
@@ -261,7 +273,7 @@ void CompactCounterArray::DeserializeSparse(BitReader& in,
   const size_t n = static_cast<size_t>(claimed);
   Reset(n);
   if (!in.ReadBool()) {  // dense fallback (saturated grid)
-    for (size_t i = 0; i < n; ++i) Assign(i, in.ReadCounter());
+    ReadDenseCells(in);
     return;
   }
   uint64_t nonzero = in.CheckedCount(in.ReadCounter());
@@ -269,6 +281,7 @@ void CompactCounterArray::DeserializeSparse(BitReader& in,
     // More nonzero cells than cells: hostile input, not a truncation.
     nonzero = in.CheckedCount(~uint64_t{0});  // force overflow status
   }
+  std::vector<SpillSlot> spilled;
   size_t next = 0;
   for (uint64_t k = 0; k < nonzero && !in.overflow(); ++k) {
     const uint64_t gap = in.ReadCounter();
@@ -277,9 +290,10 @@ void CompactCounterArray::DeserializeSparse(BitReader& in,
       break;
     }
     next += gap;
-    Assign(next, in.ReadGamma());
+    Assign(next, in.ReadGamma(), &spilled);
     ++next;
   }
+  InsertSpilled(spilled);
 }
 
 }  // namespace l1hh

@@ -132,15 +132,24 @@ class CompactCounterArray {
   void ForEachNonzero(Fn&& fn) const;
   /// The dense cell stream: one WriteCounter per cell.
   void WriteDenseCells(BitWriter& out) const;
-  /// Sets a cell of a freshly Reset array (decoders only).
-  void Assign(size_t i, uint64_t v) {
+  /// Sets a cell of a freshly Reset array (decoders only).  A spilled
+  /// part is appended to `spilled`, for InsertSpilled to place once the
+  /// whole grid is decoded.
+  void Assign(size_t i, uint64_t v, std::vector<SpillSlot>* spilled) {
+    total_ += v;
     if (v < kNibbleMax) {
       SetNibble(i, static_cast<uint8_t>(v));
-      total_ += v;
-    } else {
-      Add(i, v);
+      return;
     }
+    SetNibble(i, kNibbleMax);
+    if (v > kNibbleMax) spilled->push_back({i + 1, v - kNibbleMax});
   }
+  /// Sizes the spill table of a freshly decoded array once for all of
+  /// `spilled` (distinct cells) and inserts them: the table a cell-by-cell
+  /// insert would have grown to, without the rehashes on the way.
+  void InsertSpilled(const std::vector<SpillSlot>& spilled);
+  /// The dense cell stream's inverse: one ReadCounter per cell.
+  void ReadDenseCells(BitReader& in);
 
   uint8_t Nibble(size_t i) const {
     const uint8_t byte = packed_[i >> 1];

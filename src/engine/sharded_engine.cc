@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -41,6 +42,13 @@ class IdleBackoff {
  private:
   unsigned idle_rounds_ = 0;
 };
+
+// Yields a parked worker spins through, waiting for the other workers
+// to arrive, before it blocks.  Idle workers notice a pause within one
+// idle backoff sleep, and spinning that long keeps a condition-variable
+// wake off the critical path of a cheap query; a spin that holds the
+// core instead starves the late worker when threads outnumber cores.
+constexpr int kArrivalYields = 256;
 
 // Checkpoint files carry both the shard index and the generation that
 // wrote them, so a delta chain spanning generations never collides with
@@ -354,28 +362,35 @@ Status StageFrames(const std::vector<ShardFrame>& frames,
   return Status::Ok();
 }
 
-// Times one pass over every shard summary — a query's partition gather
+// Adds `ns` to the calling thread's open span as phase `name`.
+void AddSpanPhase(const char* name, uint64_t ns) {
+  obs::QuerySpan* span = obs::QuerySpan::Current();
+  if (span != nullptr) span->AddPhase(name, ns);
+}
+
+// Records one pass over every shard summary — a query's partition gather
 // or MergedView's one-shot merge — as the open span's merge_rebuild
 // phase and in l1hh_engine_merge_rebuilds_total / _merge_rebuild_ns.
+void RecordCrossShardPass(uint64_t ns) {
+  AddSpanPhase("merge_rebuild", ns);
+  if (!obs::Enabled()) return;
+  static obs::Counter* const passes =
+      obs::GetCounter("l1hh_engine_merge_rebuilds_total");
+  static obs::Histogram* const pass_ns =
+      obs::GetHistogram("l1hh_engine_merge_rebuild_ns");
+  passes->Inc();
+  pass_ns->Observe(ns);
+}
+
+// Times the enclosed scope as one cross-shard pass run on this thread.
 class CrossShardPass {
  public:
-  CrossShardPass()
-      : on_(obs::Enabled()), t0_(on_ ? obs::TraceRing::NowNs() : 0) {}
-  ~CrossShardPass() {
-    if (!on_) return;
-    static obs::Counter* const passes =
-        obs::GetCounter("l1hh_engine_merge_rebuilds_total");
-    static obs::Histogram* const pass_ns =
-        obs::GetHistogram("l1hh_engine_merge_rebuild_ns");
-    passes->Inc();
-    pass_ns->Observe(obs::TraceRing::NowNs() - t0_);
-  }
+  CrossShardPass() : t0_(obs::TraceRing::NowNs()) {}
+  ~CrossShardPass() { RecordCrossShardPass(obs::TraceRing::NowNs() - t0_); }
   CrossShardPass(const CrossShardPass&) = delete;
   CrossShardPass& operator=(const CrossShardPass&) = delete;
 
  private:
-  obs::ScopedPhase phase_{"merge_rebuild"};
-  bool on_;
   uint64_t t0_;
 };
 
@@ -577,6 +592,7 @@ ShardedEngine::ShardedEngine(const ShardedEngineOptions& options)
   for (size_t p = 0; p < options_.max_producers; ++p) {
     slots_.push_back(std::make_unique<ProducerSlot>(options_.num_shards));
   }
+  shard_counts_.resize(options_.num_shards);
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
     shards_.push_back(
@@ -633,7 +649,9 @@ void ShardedEngine::WorkerLoop(size_t first_shard, size_t last_shard) {
       obs::GetHistogram("l1hh_engine_drain_batch_items");
   IdleBackoff backoff;
   while (true) {
-    if (pause_.load(std::memory_order_acquire)) WorkerPark();
+    if (pause_.load(std::memory_order_acquire)) {
+      WorkerPark(first_shard, last_shard);
+    }
     size_t drained = 0;
     for (size_t s = first_shard; s < last_shard; ++s) {
       Shard& shard = *shards_[s];
@@ -675,30 +693,72 @@ void ShardedEngine::WorkerLoop(size_t first_shard, size_t last_shard) {
   }
 }
 
-void ShardedEngine::WorkerPark() {
+void ShardedEngine::WorkerPark(size_t first_shard, size_t last_shard) {
   std::unique_lock<std::mutex> lock(park_mutex_);
-  ++parked_workers_;
-  park_cv_.notify_all();
-  resume_cv_.wait(lock, [this] {
-    return !pause_.load(std::memory_order_relaxed) ||
+  const uint64_t round = park_round_;
+  const ShardTask* const task = park_task_;
+  lock.unlock();
+  // Arrive: publish this worker's shard counts.  The arrival count
+  // orders them before any reader that sees every worker arrived.
+  for (size_t s = first_shard; s < last_shard; ++s) {
+    const Summary& summary = *shards_[s]->summary;
+    shard_counts_[s] = {summary.CoveredItems(), summary.PartitionSamples()};
+  }
+  const size_t workers = workers_.size();
+  const auto all_arrived = [&] {
+    return arrived_workers_.load(std::memory_order_acquire) == workers;
+  };
+  lock.lock();
+  const bool last =
+      arrived_workers_.fetch_add(1, std::memory_order_acq_rel) + 1 == workers;
+  if (last) last_arrival_ns_ = obs::TraceRing::NowNs();
+  lock.unlock();
+  if (task != nullptr) {
+    PartitionTotals totals;
+    if (task->needs_totals) {
+      // Every worker's counts, without a round trip through the pausing
+      // thread: spin (kArrivalYields), then block.
+      if (last) {
+        arrive_cv_.notify_all();
+      } else {
+        for (int spin = 0; spin < kArrivalYields && !all_arrived(); ++spin) {
+          std::this_thread::yield();
+        }
+        if (!all_arrived()) {
+          lock.lock();
+          arrive_cv_.wait(lock, all_arrived);
+          lock.unlock();
+        }
+      }
+      totals = PartitionTotalsLocked();
+    }
+    for (size_t s = first_shard; s < last_shard; ++s) task->run(s, totals);
+  }
+  lock.lock();
+  if (++parked_workers_ == workers_.size()) park_cv_.notify_all();
+  resume_cv_.wait(lock, [&] {
+    return park_round_ != round || !pause_.load(std::memory_order_relaxed) ||
            stop_.load(std::memory_order_relaxed);
   });
-  --parked_workers_;
 }
 
-void ShardedEngine::PauseWorkers() {
+uint64_t ShardedEngine::PauseWorkers(const ShardTask* task) {
   static obs::Histogram* const park_hist =
       obs::GetHistogram("l1hh_engine_park_wait_ns");
-  const bool obs_on = obs::Enabled();
-  const uint64_t t0 = obs_on ? obs::TraceRing::NowNs() : 0;
+  const uint64_t t0 = obs::TraceRing::NowNs();
   std::unique_lock<std::mutex> lock(park_mutex_);
+  ++park_round_;
+  park_task_ = task;
+  parked_workers_ = 0;
+  arrived_workers_.store(0, std::memory_order_relaxed);
   pause_.store(true, std::memory_order_release);
   park_cv_.wait(lock, [this] { return parked_workers_ == workers_.size(); });
-  // All workers are inside WorkerPark with the summaries untouched; the
-  // mutex handoff orders their last drains before our reads.
-  if (obs_on) {
-    park_hist->Observe(obs::TraceRing::NowNs() - t0);
-  }
+  // All workers are inside WorkerPark, done with the task, their
+  // summaries untouched; the mutex handoff orders their last drains and
+  // task results before our reads.
+  park_task_ = nullptr;
+  if (obs::Enabled()) park_hist->Observe(last_arrival_ns_ - t0);
+  return last_arrival_ns_;
 }
 
 void ShardedEngine::ResumeWorkers() {
@@ -710,18 +770,25 @@ void ShardedEngine::ResumeWorkers() {
 }
 
 template <typename Fn>
-decltype(auto) ShardedEngine::WithWorkersParked(Fn&& fn) {
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  {
-    obs::ScopedPhase park("park_wait");
-    Flush();
-    PauseWorkers();
-  }
+decltype(auto) ShardedEngine::ParkedLocked(const ShardTask* task, Fn&& fn) {
+  const uint64_t t0 = obs::TraceRing::NowNs();
+  Flush();
+  const uint64_t arrived_ns = PauseWorkers(task);
+  const uint64_t joined_ns = obs::TraceRing::NowNs();
+  const uint64_t task_ns = task != nullptr ? joined_ns - arrived_ns : 0;
+  AddSpanPhase("park_wait", joined_ns - t0 - task_ns);
   struct Resume {
     ShardedEngine* engine;
     ~Resume() { engine->ResumeWorkers(); }
   } resume{this};
-  return fn();
+  return fn(task_ns);
+}
+
+template <typename Fn>
+decltype(auto) ShardedEngine::WithWorkersParked(Fn&& fn) {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  return ParkedLocked(nullptr,
+                      [&](uint64_t) -> decltype(auto) { return fn(); });
 }
 
 // ---- Ingestion --------------------------------------------------------
@@ -951,9 +1018,9 @@ void ShardedEngine::PublishMetrics() const {
 
 PartitionTotals ShardedEngine::PartitionTotalsLocked() const {
   PartitionTotals totals;
-  for (const auto& shard : shards_) {
-    totals.covered_items += shard->summary->CoveredItems();
-    totals.samples += shard->summary->PartitionSamples();
+  for (const PartitionTotals& counts : shard_counts_) {
+    totals.covered_items += counts.covered_items;
+    totals.samples += counts.samples;
   }
   return totals;
 }
@@ -1027,22 +1094,26 @@ std::vector<double> ShardedEngine::EstimateBatch(
 
 std::vector<ItemEstimate> ShardedEngine::HeavyHitters(double phi) {
   obs::QuerySpan span("heavy");
-  return WithWorkersParked([&] {
-    // Each item is counted by its owning shard alone, so the union of
-    // the partition reports holds every item once.
-    std::vector<ItemEstimate> report;
-    {
-      CrossShardPass pass;
-      const PartitionTotals totals = PartitionTotalsLocked();
-      for (const auto& shard : shards_) {
-        const auto part = shard->summary->PartitionHeavyHitters(phi, totals);
-        report.insert(report.end(), part.begin(), part.end());
-      }
-    }
-    obs::ScopedPhase sort("report");
-    SortByEstimateDesc(report);
-    return report;
-  });
+  // Every shard reports on its own worker against the global totals.
+  std::vector<std::vector<ItemEstimate>> parts(shards_.size());
+  const ShardTask gather{
+      [&](size_t s, const PartitionTotals& totals) {
+        parts[s] = shards_[s]->summary->PartitionHeavyHitters(phi, totals);
+      },
+      /*needs_totals=*/true};
+  {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    ParkedLocked(&gather, RecordCrossShardPass);
+  }
+  // Each item is counted by its owning shard alone, so the union of the
+  // partition reports holds every item once.
+  obs::ScopedPhase sort("report");
+  std::vector<ItemEstimate> report;
+  for (const auto& part : parts) {
+    report.insert(report.end(), part.begin(), part.end());
+  }
+  SortByEstimateDesc(report);
+  return report;
 }
 
 uint64_t ShardedEngine::CoveredItems() {
@@ -1068,9 +1139,11 @@ size_t ShardedEngine::MemoryUsageBytes() {
 Status ShardedEngine::CaptureFramesLocked(
     const std::vector<ShardBaseline>& baselines, uint32_t max_delta_chain,
     std::vector<ShardFrame>* frames, uint64_t* total_applied) {
-  obs::ScopedPhase capture("capture");
-  frames->clear();
-  for (size_t s = 0; s < shards_.size(); ++s) {
+  // Each shard's worker encodes its own frame into the shard's slot; a
+  // clean shard's slot stays empty.
+  std::vector<std::optional<ShardFrame>> captured(shards_.size());
+  std::vector<Status> status(shards_.size());
+  const ShardTask capture{[&](size_t s, const PartitionTotals&) {
     const uint64_t applied =
         shards_[s]->applied.load(std::memory_order_acquire);
     const uint64_t rotations =
@@ -1079,41 +1152,45 @@ Status ShardedEngine::CaptureFramesLocked(
         s < baselines.size() ? baselines[s] : ShardBaseline{};
     if (base.valid && base.applied == applied &&
         base.rotations == rotations) {
-      continue;  // clean: the consumer already holds exactly this state
+      return;  // clean: the consumer already holds exactly this state
     }
-    ShardFrame frame;
+    ShardFrame& frame = captured[s].emplace();
     frame.shard = s;
     frame.applied = applied;
     frame.rotations = rotations;
     // A delta only exists for a windowed shard whose baseline precedes
     // the live clocks, whose dirty tail still fits inside the ring, and
     // whose chain has not hit the replay-length bound.
-    const bool can_delta =
+    frame.delta =
         base.valid && !windows_.empty() && base.chain < max_delta_chain &&
         base.applied <= applied && base.rotations <= rotations &&
         rotations - base.rotations + 1 < windows_[s]->num_buckets();
-    if (can_delta) {
-      frame.delta = true;
-      const Status saved = SaveSummaryDelta(
-          *shards_[s]->summary, base.rotations, base.applied, &frame.bytes);
-      if (!saved.ok()) return saved;
-    } else {
-      const Status saved = SaveSummary(*shards_[s]->summary, &frame.bytes);
-      if (!saved.ok()) return saved;
-    }
-    frames->push_back(std::move(frame));
+    status[s] = frame.delta
+                    ? SaveSummaryDelta(*shards_[s]->summary, base.rotations,
+                                       base.applied, &frame.bytes)
+                    : SaveSummary(*shards_[s]->summary, &frame.bytes);
+  }};
+  const uint64_t applied = ParkedLocked(&capture, [this](uint64_t ns) {
+    AddSpanPhase("capture", ns);
+    return ItemsProcessed();
+  });
+  // Joined in shard order, so the frames are exactly what a serial pass
+  // over the shards would have captured.
+  frames->clear();
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (!status[s].ok()) return status[s];
+    if (captured[s].has_value()) frames->push_back(std::move(*captured[s]));
   }
-  if (total_applied != nullptr) *total_applied = ItemsProcessed();
+  if (total_applied != nullptr) *total_applied = applied;
   return Status::Ok();
 }
 
 Status ShardedEngine::CaptureFrames(
     const std::vector<ShardBaseline>& baselines, uint32_t max_delta_chain,
     std::vector<ShardFrame>* frames, uint64_t* total_applied) {
-  return WithWorkersParked([&] {
-    return CaptureFramesLocked(baselines, max_delta_chain, frames,
-                               total_applied);
-  });
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  return CaptureFramesLocked(baselines, max_delta_chain, frames,
+                             total_applied);
 }
 
 Status ShardedEngine::WriteCheckpoint(const std::string& dir,
@@ -1124,7 +1201,10 @@ Status ShardedEngine::WriteCheckpoint(const std::string& dir,
   uint64_t frame_bytes = 0;
   uint64_t full_frames = 0;
   uint64_t delta_frames = 0;
-  const Status result = WithWorkersParked([&]() -> Status {
+  const Status result = [&]() -> Status {
+    // The state mutex keeps other checkpoints out from the manifest read
+    // to the manifest write; the workers are parked only for the capture.
+    std::lock_guard<std::mutex> lock(state_mutex_);
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec) {
@@ -1218,7 +1298,7 @@ Status ShardedEngine::WriteCheckpoint(const std::string& dir,
     if (!s.ok()) return s;
     PruneCheckpoints(dir);
     return Status::Ok();
-  });
+  }();
   if (result.ok()) {
     obs::GetCounter("l1hh_io_checkpoints_total",
                     std::string("kind=\"") + kind + "\"")

@@ -44,8 +44,11 @@
 //     producers: they serialize on an internal state mutex, wait for
 //     every item enqueued at entry to be applied, park the workers, and
 //     read the shard summaries only while parked (results are copied
-//     out, giving readers snapshot isolation).  Items enqueued while
-//     the query runs are simply not in that snapshot yet.
+//     out, giving readers snapshot isolation).  Per-shard work (frame
+//     capture, partition reports, the totals) runs on each shard's own
+//     worker as part of its park, so a park lasts as long as the
+//     slowest shard.  Items enqueued while the query runs are simply
+//     not in that snapshot yet.
 //   * MergedView still returns a REFERENCE into engine state, so it
 //     keeps the stricter legacy contract: controller thread only, no
 //     concurrently-active producer handles, reference valid until the
@@ -75,6 +78,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -270,8 +274,9 @@ class ShardedEngine {
 
   /// Global report: the union of every shard's partition report, each
   /// thresholded against the global totals (Summary::
-  /// PartitionHeavyHitters), sorted by SortByEstimateDesc.  No merge.
-  /// Flushes; safe from any thread, even with live producers (snapshot
+  /// PartitionHeavyHitters), sorted by SortByEstimateDesc.  No merge;
+  /// each shard reports on its own worker during the park.  Flushes;
+  /// safe from any thread, even with live producers (snapshot
   /// isolation).
   std::vector<ItemEstimate> HeavyHitters(double phi);
 
@@ -311,7 +316,8 @@ class ShardedEngine {
 
   // ---- Checkpoint / Restore (docs/SNAPSHOTS.md, docs/ENGINE.md) ---------
 
-  /// Flush-quiesces, parks the workers, then writes a restartable FULL
+  /// Captures every shard like CaptureFrames, then, with the workers
+  /// running again, writes a restartable FULL
   /// checkpoint into `dir` (created if missing): one self-describing
   /// snapshot file per shard (src/io/snapshot.h) plus a generation-
   /// numbered MANIFEST.<gen> recording the algorithm, the shard count,
@@ -345,7 +351,8 @@ class ShardedEngine {
   static constexpr uint32_t kMaxDeltaChain = 12;
 
   /// Flush-quiesces, parks the workers, and captures each shard's state
-  /// as an in-memory frame against `baselines` (what the consumer
+  /// (encoded by the shard's own worker during the park, joined in shard
+  /// order) as an in-memory frame against `baselines` (what the consumer
   /// already holds): clean shards emit nothing, dirty windowed shards
   /// within `max_delta_chain` emit a delta container, everything else a
   /// full snapshot container.  Pass an empty vector for a cold consumer
@@ -472,21 +479,44 @@ class ShardedEngine {
 
   explicit ShardedEngine(const ShardedEngineOptions& options);
 
+  // The per-shard half of a parked query.  The pausing thread hands it
+  // over with the pause request, and each worker calls run(shard, totals)
+  // for every shard it owns as part of its park, before it counts itself
+  // parked.  So shard summaries are read where they live, in parallel,
+  // and the park lasts as long as the slowest shard.  With needs_totals,
+  // `totals` is the global PartitionTotals (every worker waits inside the
+  // park for every other worker's counts); otherwise it is zero.  `run`
+  // writes only its own shard's result slot.
+  struct ShardTask {
+    std::function<void(size_t shard, const PartitionTotals& totals)> run;
+    bool needs_totals = false;
+  };
+
   void StartWorkers();
   void WorkerLoop(size_t first_shard, size_t last_shard);
-  // Parks this worker until pause_ clears (or stop_); workers check the
-  // flag once per drain pass, so a pause request completes in at most
-  // one drain_batch per ring.
-  void WorkerPark();
-  // Waits for every worker to park (call with state_mutex_ held, after
-  // Flush).  While paused the shard summaries are safe to read/write
-  // from the pausing thread.
-  void PauseWorkers();
+  // Parks this worker until the pause ends (or stop_): publishes its
+  // shards' partition counts, runs the pause's ShardTask on its shards,
+  // then counts itself parked.  Workers check pause_ once per drain pass,
+  // so a pause request completes in at most one drain_batch per ring.
+  void WorkerPark(size_t first_shard, size_t last_shard);
+  // Sets the pause request with `task` (may be null) and waits for every
+  // worker to park.  Call with state_mutex_ held, after Flush.  While
+  // paused the shard summaries are safe to read/write from the pausing
+  // thread.  Returns when the last worker arrived at the park, which
+  // l1hh_engine_park_wait_ns measures from the request.
+  uint64_t PauseWorkers(const ShardTask* task);
   void ResumeWorkers();
-  // Runs `fn` under state_mutex_ with everything enqueued before the call
-  // applied and the workers parked (the shard summaries are then safe to
-  // touch), resuming them on the way out.  The flush and
-  // park are timed as the open span's park_wait phase.
+  // Requires state_mutex_ held.  Flushes (everything enqueued before the
+  // call gets applied), parks the workers with `task` riding on the
+  // pause request, then calls fn(task_ns) on this thread with the
+  // workers still parked, resuming them on the way out.  task_ns is the
+  // wall time from the last worker's arrival to the join, which is
+  // `task`'s share of the park (0 without a task); the rest is recorded
+  // as the open span's park_wait phase.  Spans are thread-local, so
+  // every phase of a parked query is recorded here, on the query thread.
+  template <typename Fn>
+  decltype(auto) ParkedLocked(const ShardTask* task, Fn&& fn);
+  // ParkedLocked(nullptr, fn) under state_mutex_.
   template <typename Fn>
   decltype(auto) WithWorkersParked(Fn&& fn);
   // Blocks until all n items are enqueued on `shard`'s ring for `slot`.
@@ -508,10 +538,14 @@ class ShardedEngine {
   // release-publishes rotations_done_.
   void RotateAtBoundary(uint64_t bucket);
   // The whole-stream totals every shard's partition report is measured
-  // against.  Requires state_mutex_ held AND workers parked (it reads
-  // the shard summaries), like every *Locked helper.
+  // against: the sum of the counts the workers published when they
+  // arrived at the current park.  Requires state_mutex_ held AND workers
+  // parked, like every *Locked helper, or (on a worker) every worker
+  // arrived.
   PartitionTotals PartitionTotalsLocked() const;
-  // CaptureFrames body; requires state_mutex_ held and workers parked.
+  // CaptureFrames body; requires state_mutex_ held.  Parks the workers
+  // with a ShardTask that encodes each dirty shard on its own worker, and
+  // returns with them resumed.
   Status CaptureFramesLocked(const std::vector<ShardBaseline>& baselines,
                              uint32_t max_delta_chain,
                              std::vector<ShardFrame>* frames,
@@ -547,12 +581,26 @@ class ShardedEngine {
 
   // Worker pause gate: pause_ is checked once per drain pass; parked
   // workers wait on resume_cv_, the pausing thread waits on park_cv_
-  // until parked_workers_ == workers_.size().
+  // until parked_workers_ == workers_.size().  park_round_ numbers the
+  // pauses, so a worker still waiting out the previous one joins the
+  // next with its task instead of counting as parked.  The task and the
+  // counters below are reset by PauseWorkers under park_mutex_.
   std::atomic<bool> pause_{false};
   std::mutex park_mutex_;
   std::condition_variable park_cv_;
   std::condition_variable resume_cv_;
+  uint64_t park_round_ = 0;
+  const ShardTask* park_task_ = nullptr;
   size_t parked_workers_ = 0;
+  // Workers arrived at this pause (counted under park_mutex_, spin-read
+  // by the workers waiting on arrive_cv_ for the others), and the time
+  // the last one did (read by the pausing thread after the join).
+  std::atomic<size_t> arrived_workers_{0};
+  std::condition_variable arrive_cv_;
+  uint64_t last_arrival_ns_ = 0;
+  // Each shard's partition counts as of the current park, written by the
+  // shard's worker before it counts itself arrived.
+  std::vector<PartitionTotals> shard_counts_;
 
   // MergedView's instance (guarded by state_mutex_), refilled by every
   // call; null until the first K > 1 MergedView.

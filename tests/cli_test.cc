@@ -345,6 +345,53 @@ TEST_F(CliTest, MalformedNumbersAreUsageErrors) {
                    bad("--ready-lag", "+1"));
 }
 
+// `run` draws its self-generated stream from --kind, plain and grouped,
+// and refuses an unknown kind like `generate` does.
+TEST_F(CliTest, RunHonoursKind) {
+  const Outcome uniform =
+      Cli({"run", "--kind=uniform", "--algo=exact", "--m=20000"});
+  EXPECT_EQ(uniform.code, 0);
+  EXPECT_EQ(uniform.out.rfind("algo=exact  uniform  n=16777216  m=20000 ", 0),
+            0u)
+      << uniform.out;
+  const Outcome zipf = Cli({"run", "--algo=exact", "--m=20000"});
+  EXPECT_EQ(zipf.out.rfind("algo=exact  zipf(alpha=1.10)  ", 0), 0u)
+      << zipf.out;
+  const Outcome grouped = Cli({"run", "--kind=uniform", "--algo=exact",
+                               "--group-col", "--groups=2", "--m=2000"});
+  EXPECT_NE(grouped.out.find(" tenants x 1000 uniform items "),
+            std::string::npos)
+      << grouped.out;
+  const std::string unknown = "unknown --kind bogus (zipf|uniform)\n";
+  ExpectUsageError(L1HH_CLI_BINARY, {"run", "--kind=bogus"}, unknown);
+  ExpectUsageError(L1HH_CLI_BINARY,
+                   {"run", "--group-col", "--groups=2", "--kind=bogus"},
+                   unknown);
+  ExpectUsageError(L1HH_CLI_BINARY, {"generate", "--kind=bogus"}, unknown);
+}
+
+// A flag only one command reads is refused by every other command,
+// naming the flag, instead of being silently ignored.
+TEST_F(CliTest, FlagsACommandCannotUseAreRejected) {
+  const std::string out = "--out=" + Path("x.l1hh");
+  const std::string save = "--save=" + Path("x.l1hh");
+  for (const char* command : {"heavy", "save", "load", "merge", "generate"}) {
+    ExpectUsageError(L1HH_CLI_BINARY, {command, "--shards=4"},
+                     "--shards is supported by run\n");
+    ExpectUsageError(L1HH_CLI_BINARY, {command, "--threads=2"},
+                     "--threads is supported by run\n");
+    ExpectUsageError(L1HH_CLI_BINARY, {command, save},
+                     "--save is supported by run\n");
+  }
+  for (const char* command : {"run", "heavy", "generate"}) {
+    ExpectUsageError(L1HH_CLI_BINARY, {command, out},
+                     "--out is supported by save\n");
+  }
+  ExpectUsageError(L1HH_CLI_BINARY, {"--algo=exact", out},
+                   "--out is supported by save\n");
+  EXPECT_NE(::access(Path("x.l1hh").c_str(), F_OK), 0);
+}
+
 // Sends `stats`, then `shutdown`, to the server on `socket_path`; returns
 // both replies ("" for one that did not arrive).
 std::vector<std::string> StatsThenShutdown(const std::string& socket_path) {

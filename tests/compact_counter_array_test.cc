@@ -247,5 +247,45 @@ TEST(CompactCounterArrayTest, EncodingsIgnoreInsertionOrder) {
   }
 }
 
+// Decoding sizes the spill table once for every spilled cell; the table
+// ends the size a cell-by-cell insert grows it to, cells of exactly 15
+// (nibble 15, no slot) take no slot, and the bytes re-encode unchanged.
+TEST(CompactCounterArrayTest, DecodeSizesSpillTableOnce) {
+  for (const size_t spilled : {0, 1, 6, 7, 100, 1000}) {
+    SCOPED_TRACE(spilled);
+    const size_t n = 4 * spilled + 64;
+    CompactCounterArray a(n);
+    for (size_t k = 0; k < spilled; ++k) a.Add(4 * k, 16 + k);
+    a.Add(n - 1, 15);
+    a.Add(n - 2, 3);
+    for (const bool sparse : {false, true}) {
+      BitWriter w;
+      if (sparse) {
+        a.SerializeSparse(w);
+      } else {
+        a.Serialize(w);
+      }
+      BitReader r(w);
+      CompactCounterArray b;
+      if (sparse) {
+        b.DeserializeSparse(r, n);
+      } else {
+        b.Deserialize(r);
+      }
+      ASSERT_FALSE(r.overflow());
+      EXPECT_EQ(b.HeapBytes(), a.HeapBytes()) << "sparse=" << sparse;
+      EXPECT_EQ(b.Total(), a.Total());
+      for (size_t i = 0; i < n; ++i) ASSERT_EQ(b.Get(i), a.Get(i)) << i;
+      BitWriter again;
+      if (sparse) {
+        b.SerializeSparse(again);
+      } else {
+        b.Serialize(again);
+      }
+      EXPECT_EQ(again.words(), w.words()) << "sparse=" << sparse;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace l1hh

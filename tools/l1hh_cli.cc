@@ -7,8 +7,9 @@
 //   l1hh_cli generate --kind=zipf --alpha=1.1 --n=16777216 --m=1000000
 //       [--seed=1]                            # one item id per line, stdout
 //   l1hh_cli run --algo=bdw_optimal [--epsilon=0.01 --phi=0.05 ...]
-//                                             # self-generated Zipf stream,
-//                                             # reports HH + recall vs truth
+//                                             # self-generated --kind stream
+//                                             # (default zipf), reports HH
+//                                             # + recall vs truth
 //   l1hh_cli run --algo=misra_gries --shards=4 [--threads=2]
 //                                             # same run through the sharded
 //                                             # parallel engine (src/engine/)
@@ -56,7 +57,9 @@
 //
 // Flags accept both `--key=value` and `--key value`; unknown flags are
 // rejected (with a did-you-mean hint), never silently ignored, nor is a
-// malformed number (src/serve/wire.h, shared with l1hh_serve).  Legacy
+// malformed number (src/serve/wire.h, shared with l1hh_serve), nor a flag
+// the command does not read (--shards/--threads/--save outside run,
+// --out outside save).  Legacy
 // names (optimal, simple, mg, spacesaving) are accepted as --algo aliases.
 // `l1hh_cli --algo=<name>` with no command is shorthand for `run`.
 // stdin ids are whole decimal u64 fields (one per line; two for
@@ -75,6 +78,7 @@
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/epsilon_maximum.h"
@@ -144,6 +148,8 @@ struct Args {
   std::string out;
   std::string save_path;
   std::vector<std::string> positional;
+  // Every --key=value flag given, for the per-command checks in Parse.
+  std::vector<std::string> given;
 };
 
 constexpr uint64_t kDefaultM = 1 << 20;
@@ -216,6 +222,7 @@ bool Parse(int argc, char** argv, Args* out) {
       continue;
     }
     if (!serve::SplitFlag(argc, argv, &i, &key, &value)) return false;
+    out->given.push_back(key);
     bool ok = true;
     if (key == "--kind") {
       out->kind = value;
@@ -267,6 +274,38 @@ bool Parse(int argc, char** argv, Args* out) {
   if (out->shards == 0) {
     std::fprintf(stderr, "--shards must be >= 1\n");
     return false;
+  }
+  if (out->kind != "zipf" && out->kind != "uniform") {
+    std::fprintf(stderr, "unknown --kind %s (zipf|uniform)\n",
+                 out->kind.c_str());
+    return false;
+  }
+  const std::string& command = out->command.empty() ? "run" : out->command;
+  // The commands that build --algo turn an unknown name away first, with
+  // the hint; every other refusal of a name is the structure's own.
+  std::string_view inner = out->algorithm;
+  if (IsWindowedSummaryName(inner)) inner.remove_prefix(kWindowedPrefix.size());
+  const std::vector<std::string> names = RegisteredSummaryNames();
+  if ((command == "run" || command == "heavy" || command == "save") &&
+      std::find(names.begin(), names.end(), inner) == names.end()) {
+    std::fprintf(stderr,
+                 "--algo %s: unknown summary algorithm '%s'; try `l1hh_cli "
+                 "list`\n",
+                 out->algorithm.c_str(), std::string(inner).c_str());
+    return false;
+  }
+  // Flags only one command reads; on any other they would be silently
+  // ignored — reject.
+  static const std::pair<const char*, const char*> kOneCommandFlags[] = {
+      {"--shards", "run"}, {"--threads", "run"},
+      {"--save", "run"},   {"--out", "save"},
+  };
+  for (const auto& [flag, user] : kOneCommandFlags) {
+    if (command != user && std::find(out->given.begin(), out->given.end(),
+                                     flag) != out->given.end()) {
+      std::fprintf(stderr, "%s is supported by %s\n", flag, user);
+      return false;
+    }
   }
   // The stream generators draw from a universe of n items; an empty one
   // has nothing to draw.
@@ -381,6 +420,20 @@ struct GroupedColumns {
   std::vector<std::vector<uint64_t>> tenant;  // generated: per-tenant streams
 };
 
+/// `m` items of the --kind stream over a universe of --n items.
+std::vector<uint64_t> MakeStream(const Args& a, uint64_t m, uint64_t seed) {
+  return a.kind == "uniform" ? MakeUniformStream(a.n, m, seed)
+                             : MakeZipfStream(a.n, a.alpha, m, seed);
+}
+
+/// The --kind stream as the run reports name it.
+std::string StreamLabel(const Args& a) {
+  if (a.kind == "uniform") return "uniform";
+  char label[32];
+  std::snprintf(label, sizeof(label), "zipf(alpha=%.2f)", a.alpha);
+  return label;
+}
+
 /// The multi-tenant stream shared by `generate --groups` and `run
 /// --group-col`: every tenant draws its own independently-seeded stream
 /// of m/G items, and rows arrive clustered in runs of 64 — the shape a
@@ -393,9 +446,7 @@ GroupedColumns MakeGroupedStream(const Args& a, uint64_t tenants,
   out.tenant.resize(tenants);
   for (uint64_t t = 0; t < tenants; ++t) {
     const uint64_t seed = a.seed + 101 * t;
-    out.tenant[t] = a.kind == "uniform"
-                        ? MakeUniformStream(a.n, per_tenant, seed)
-                        : MakeZipfStream(a.n, a.alpha, per_tenant, seed);
+    out.tenant[t] = MakeStream(a, per_tenant, seed);
   }
   out.groups.reserve(per_tenant * tenants);
   out.items.reserve(per_tenant * tenants);
@@ -425,21 +476,15 @@ SummaryOptions ToSummaryOptions(const Args& a, uint64_t stream_length) {
   return opt;
 }
 
-/// Reports a refused --algo; returns exit code 2.  The `l1hh_cli list`
-/// hint fits an unknown name only, not an engine or option refusal.
-int Refused(const Args& a, const std::string& why) {
-  std::string_view inner = a.algorithm;
-  if (IsWindowedSummaryName(inner)) inner.remove_prefix(kWindowedPrefix.size());
-  const std::vector<std::string> names = RegisteredSummaryNames();
-  const bool known =
-      std::find(names.begin(), names.end(), inner) != names.end();
-  std::fprintf(stderr, "%s%s\n", why.c_str(),
-               known ? "" : "; try `l1hh_cli list`");
+/// Reports a refused --algo; returns exit code 2.  Parse already turned
+/// an unknown name away, so this is an engine or option refusal.
+int Refused(const std::string& why) {
+  std::fprintf(stderr, "%s\n", why.c_str());
   return 2;
 }
 
 int Refused(const Args& a, const Status& status) {
-  return Refused(a, "--algo " + a.algorithm + ": " + status.ToString());
+  return Refused("--algo " + a.algorithm + ": " + status.ToString());
 }
 
 /// --algo over stdin's ids, declared stream length `m`; nullptr after
@@ -465,11 +510,6 @@ int CmdList() {
 
 int CmdGenerate(const Args& a) {
   const uint64_t m = a.m != 0 ? a.m : kDefaultM;
-  if (a.kind != "zipf" && a.kind != "uniform") {
-    std::fprintf(stderr, "unknown --kind %s (zipf|uniform)\n",
-                 a.kind.c_str());
-    return 2;
-  }
   if (a.groups != 0) {
     const GroupedColumns gs = MakeGroupedStream(a, a.groups, m);
     for (size_t i = 0; i < gs.items.size(); ++i) {
@@ -479,10 +519,7 @@ int CmdGenerate(const Args& a) {
     }
     return 0;
   }
-  const std::vector<uint64_t> stream =
-      a.kind == "zipf" ? MakeZipfStream(a.n, a.alpha, m, a.seed)
-                       : MakeUniformStream(a.n, m, a.seed);
-  for (const uint64_t x : stream) {
+  for (const uint64_t x : MakeStream(a, m, a.seed)) {
     std::printf("%llu\n", static_cast<unsigned long long>(x));
   }
   return 0;
@@ -881,11 +918,12 @@ int CmdRunGrouped(const Args& a) {
     }
     std::printf("}\n");
   } else {
-    std::printf("algo=%s  grouped: %llu tenants x %llu zipf(alpha=%.2f) "
+    std::printf("algo=%s  grouped: %llu tenants x %llu %s "
                 "items  eps=%.3f  phi=%.3f  seed=%llu  %.1f ns/item\n",
                 a.algorithm.c_str(),
                 static_cast<unsigned long long>(tenants),
-                static_cast<unsigned long long>(per_tenant), a.alpha,
+                static_cast<unsigned long long>(per_tenant),
+                StreamLabel(a).c_str(),
                 a.epsilon, a.phi,
                 static_cast<unsigned long long>(a.seed), update_ns);
     std::printf("%-12s %12s %14s %10s %10s\n", "group", "items",
@@ -913,7 +951,7 @@ int CmdRunGrouped(const Args& a) {
 int CmdRun(const Args& a) {
   if (a.group_col) return CmdRunGrouped(a);
   const uint64_t m_arg = a.m != 0 ? a.m : kDefaultM;
-  const auto stream = MakeZipfStream(a.n, a.alpha, m_arg, a.seed);
+  const auto stream = MakeStream(a, m_arg, a.seed);
   const SummaryOptions options = ToSummaryOptions(a, stream.size());
   // A sharded --save exports the one-shot merge of every shard
   // (ShardedEngine::MergedView), which only a mergeable structure has.
@@ -934,7 +972,7 @@ int CmdRun(const Args& a) {
                                        a.shards, a.threads, &engine)
                    : RunRegisteredSummary(a.algorithm, options, stream,
                                           a.phi, &summary);
-  if (!r.ok) return Refused(a, r.error);
+  if (!r.ok) return Refused(r.error);
   // Scrape-time gauges (per-shard applied/high-water, per-slot enqueued)
   // are published by the engine; counters/histograms are already live.
   if (!a.stats.empty() && engine != nullptr) engine->PublishMetrics();
@@ -961,9 +999,9 @@ int CmdRun(const Args& a) {
   if (a.format == "json") {
     PrintJsonRunReport(a, r, m_arg, a.audit ? &audit_report : nullptr);
   } else {
-    std::printf("algo=%s  zipf(alpha=%.2f)  n=%llu  m=%llu  eps=%.3f  "
+    std::printf("algo=%s  %s  n=%llu  m=%llu  eps=%.3f  "
                 "phi=%.3f  seed=%llu\n",
-                a.algorithm.c_str(), a.alpha,
+                a.algorithm.c_str(), StreamLabel(a).c_str(),
                 static_cast<unsigned long long>(a.n),
                 static_cast<unsigned long long>(m_arg), a.epsilon, a.phi,
                 static_cast<unsigned long long>(a.seed));
@@ -1061,8 +1099,8 @@ int main(int argc, char** argv) {
         stderr,
         "usage: l1hh_cli list|generate|run|heavy|save|load|merge|max|min "
         "[flags]\n"
-        "  run    [--algo --shards --threads --save=FILE ...]  self-scored "
-        "Zipf run\n"
+        "  run    [--algo --kind --shards --threads --save=FILE ...]  "
+        "self-scored run\n"
         "         [--group-col --groups=G]        per-tenant grouped run\n"
         "  heavy  --algo=NAME --m=M [--phi=P]     report HH over stdin "
         "ids\n"
