@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "util/bit_util.h"
 
@@ -88,35 +89,103 @@ void BdwOptimal::FastForwardToEpoch(int epoch) {
   if (current_epoch_ < epoch_floor_) current_epoch_ = epoch_floor_;
 }
 
-void BdwOptimal::Insert(ItemId item) {
-  ++position_;
-  if (!sampler_.Offer(rng_)) return;
-  ++sampled_;
-  if (current_epoch_ < max_epoch_) {
-    const int scheduled = EpochAtSample(sampled_);
-    if (scheduled > current_epoch_) current_epoch_ = scheduled;
-  }
-  t1_.Insert(item);
-  const int t = current_epoch_;
-  // Count with probability min(eps * 2^t, 1) = 2^{-(eps_exp - t)}.
-  const int k = std::max(eps_exp_ - t, 0);
-  // The per-repetition coins, 64 repetitions per word: bit b of m2 (m3)
-  // is repetition base + b's T2 (T3) coin.  Only repetitions whose coin
-  // fires are hashed.
-  for (size_t base = 0; base < reps_; base += 64) {
-    const size_t block = std::min<size_t>(reps_ - base, 64);
-    const uint64_t lanes =
-        block == 64 ? ~uint64_t{0} : (uint64_t{1} << block) - 1;
-    const uint64_t m2 = CoinMask(rng_, eps_exp_, lanes);
-    const uint64_t m3 = CoinMask(rng_, k, lanes);
-    for (uint64_t fired = m2 | m3; fired != 0; fired &= fired - 1) {
-      const int b = std::countr_zero(fired);
-      const size_t j = base + static_cast<size_t>(b);
-      const size_t i = static_cast<size_t>(hashes_[j](item));
-      if ((m2 >> b) & 1) t2_.Increment(T2Cell(i, j));
-      if ((m3 >> b) & 1) t3_.Increment(T3Cell(i, j, t));
+// One tile's deferred T3 coins, per thread: for each distinct sampled item
+// of the tile (first-seen order), how many of its T3 coins fired per
+// repetition since the last flush.  Sized O(kColumnTile * reps); a flush
+// clears exactly the entries it touched, so the scratch is all zero
+// between calls and a flush costs O(items touched), not O(capacity).
+struct BdwOptimal::T3Tile {
+  struct Slot {
+    ItemId item = 0;
+    uint32_t entry = 0;  // 1 + index into `used`; 0 marks an empty slot
+  };
+  // At most kColumnTile distinct items per tile, so the table stays at
+  // most half full and every probe terminates.
+  static constexpr size_t kSlots = 2 * kColumnTile;
+
+  std::vector<Slot> slots = std::vector<Slot>(kSlots);
+  std::vector<uint32_t> used;    // occupied slots, first-seen order
+  std::vector<uint16_t> counts;  // entry-major, reps counts per entry
+
+  /// The scratch of the calling thread, sized for `reps` repetitions.
+  static T3Tile& ForThread(size_t reps) {
+    thread_local T3Tile tile;
+    if (tile.counts.size() < kColumnTile * reps) {
+      tile.counts.resize(kColumnTile * reps);
     }
+    return tile;
   }
+
+  /// The entry of `item`, appended on first sight.
+  size_t Entry(ItemId item) {
+    size_t s = static_cast<size_t>(Mix64(item)) & (kSlots - 1);
+    while (slots[s].entry != 0 && slots[s].item != item) {
+      s = (s + 1) & (kSlots - 1);
+    }
+    if (slots[s].entry == 0) {
+      used.push_back(static_cast<uint32_t>(s));
+      slots[s] = {item, static_cast<uint32_t>(used.size())};
+    }
+    return slots[s].entry - 1;
+  }
+};
+
+void BdwOptimal::InsertColumn(const ItemId* items, size_t n) {
+  T3Tile& tile = T3Tile::ForThread(reps_);
+  for (size_t begin = 0; begin < n; begin += kColumnTile) {
+    const size_t end = std::min(n, begin + kColumnTile);
+    for (size_t x = begin; x < end; ++x) {
+      ++position_;
+      if (!sampler_.Offer(rng_)) continue;
+      ++sampled_;
+      if (current_epoch_ < max_epoch_) {
+        const int scheduled = EpochAtSample(sampled_);
+        if (scheduled > current_epoch_) {
+          FlushT3(tile);  // the deferred coins were drawn in the old epoch
+          current_epoch_ = scheduled;
+        }
+      }
+      const ItemId item = items[x];
+      t1_.Insert(item);
+      // Count with probability min(eps * 2^t, 1) = 2^{-(eps_exp - t)}.
+      const int k = std::max(eps_exp_ - current_epoch_, 0);
+      size_t entry = SIZE_MAX;
+      // The per-repetition coins, 64 repetitions per word: bit b of m2
+      // (m3) is repetition base + b's T2 (T3) coin.  T2's rare increments
+      // are applied at once; T3's are counted in the tile.
+      for (size_t base = 0; base < reps_; base += 64) {
+        const size_t block = std::min<size_t>(reps_ - base, 64);
+        const uint64_t lanes =
+            block == 64 ? ~uint64_t{0} : (uint64_t{1} << block) - 1;
+        const uint64_t m2 = CoinMask(rng_, eps_exp_, lanes);
+        const uint64_t m3 = CoinMask(rng_, k, lanes);
+        for (uint64_t f = m2; f != 0; f &= f - 1) {
+          const size_t j = base + static_cast<size_t>(std::countr_zero(f));
+          t2_.Increment(T2Cell(static_cast<size_t>(hashes_[j](item)), j));
+        }
+        if (m3 == 0) continue;
+        if (entry == SIZE_MAX) entry = tile.Entry(item);
+        uint16_t* counts = &tile.counts[entry * reps_ + base];
+        for (uint64_t f = m3; f != 0; f &= f - 1) ++counts[std::countr_zero(f)];
+      }
+    }
+    FlushT3(tile);
+  }
+}
+
+void BdwOptimal::FlushT3(T3Tile& tile) {
+  for (size_t e = 0; e < tile.used.size(); ++e) {
+    T3Tile::Slot& slot = tile.slots[tile.used[e]];
+    uint16_t* counts = &tile.counts[e * reps_];
+    for (size_t j = 0; j < reps_; ++j) {
+      if (counts[j] == 0) continue;
+      const size_t i = static_cast<size_t>(hashes_[j](slot.item));
+      t3_.Add(T3Cell(i, j, current_epoch_), counts[j]);
+      counts[j] = 0;
+    }
+    slot.entry = 0;
+  }
+  tile.used.clear();
 }
 
 bool BdwOptimal::Compatible(const BdwOptimal& a, const BdwOptimal& b) {

@@ -41,6 +41,7 @@
 #ifndef L1HH_CORE_BDW_OPTIMAL_H_
 #define L1HH_CORE_BDW_OPTIMAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -72,12 +73,30 @@ class BdwOptimal {
 
   BdwOptimal(const Options& options, uint64_t seed);
 
-  /// Processes one stream item.  O(1) for non-sampled items.  A sampled
-  /// item draws the T2/T3 coins of 64 repetitions per random word (O(R/64)
-  /// words, early-exiting once no coin can fire) and hashes only the
-  /// repetitions whose coin fires: R (2^-eps_exp + 2^-(eps_exp - t))
-  /// expected hashes and counter increments in epoch t.
-  void Insert(ItemId item);
+  /// Items a column apply takes per tile: the engine's default drain
+  /// batch.  Bounds the per-thread scratch at O(kColumnTile * R) bytes.
+  static constexpr size_t kColumnTile = 1024;
+
+  /// Processes one stream item: the one-item column.
+  void Insert(ItemId item) { InsertColumn(&item, 1); }
+
+  /// Processes items[0 .. n) in stream order, in tiles of at most
+  /// kColumnTile items.  O(1) for non-sampled items.  A sampled item runs
+  /// in stream order everything whose outcome depends on order: the
+  /// sampler, the epoch schedule, T1, and the T2/T3 coins of 64
+  /// repetitions per random word (O(R/64) words, early-exiting once no
+  /// coin can fire), with T2's rare increments applied at once.  Only the
+  /// fired T3 coins are deferred: they are counted per (item, repetition)
+  /// in a per-thread tile table, and each distinct item of the tile then
+  /// hashes once per repetition whose count is nonzero and adds the count
+  /// to its T3 cell.  The tile is flushed at its end and before the epoch
+  /// advances, so every count lands in the epoch its coins were drawn in.
+  /// Counter sums commute and the counter array's state depends only on
+  /// the final values, so the sketch (snapshot bytes and PRNG state
+  /// included) is the one the items would give one at a time.  Past
+  /// eps_exp every repetition fires, and a zipf tile's hot items then
+  /// pay R hashes and T3 adds once per tile instead of once per arrival.
+  void InsertColumn(const ItemId* items, size_t n);
 
   std::vector<HeavyHitter> Report() const;
 
@@ -172,6 +191,11 @@ class BdwOptimal {
   void DeserializeRngState(BitReader& in);
 
  private:
+  struct T3Tile;
+  /// Adds the tile's deferred T3 counts at the current epoch and clears
+  /// the entries it touched.
+  void FlushT3(T3Tile& tile);
+
   void SerializeImpl(BitWriter& out, bool sparse_grids) const;
   static BdwOptimal DeserializeImpl(BitReader& in, uint64_t seed,
                                     bool sparse_grids);

@@ -84,6 +84,18 @@ void SavePayload(const BdwOptimal& sketch, BitWriter& out) {
   sketch.SerializeSparse(out);
 }
 
+// Algorithm 1's column loop is sequential by necessity: Insert draws from
+// the sampling PRNG, so the loop consumes randomness in exactly the
+// scalar order and only saves the per-item virtual dispatch.  Algorithm
+// 2's column apply also combines each tile's T3 increments per item
+// (BdwOptimal::InsertColumn).
+void InsertColumn(BdwSimple& sketch, const uint64_t* items, size_t n) {
+  for (size_t i = 0; i < n; ++i) sketch.Insert(items[i]);
+}
+void InsertColumn(BdwOptimal& sketch, const uint64_t* items, size_t n) {
+  sketch.InsertColumn(items, n);
+}
+
 BdwSimple LoadPayload(BitReader& in, uint64_t seed, const BdwSimple&) {
   return BdwSimple::Deserialize(in, seed);
 }
@@ -104,12 +116,8 @@ class BdwSummary : public Summary {
     for (uint64_t i = 0; i < weight; ++i) impl_.Insert(item);
   }
 
-  // Sequential by necessity: Insert draws from the sampling PRNG (and, for
-  // Algorithm 2, the accelerated-counter epochs), so the column loop must
-  // consume randomness in exactly the scalar order.  The win over the
-  // default is amortized virtual dispatch only.
   void UpdateColumn(const uint64_t* items, size_t n) override {
-    for (size_t i = 0; i < n; ++i) impl_.Insert(items[i]);
+    InsertColumn(impl_, items, n);
   }
 
   double Estimate(uint64_t item) const override {

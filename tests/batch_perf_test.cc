@@ -116,9 +116,13 @@ TEST(BatchPerfTest, BatchAndColumnNeverSlowerThanScalar) {
     double scalar_ns = 0, batch_ns = 0, column_ns = 0;
     Measure(name, options, stream, scalar_ns, batch_ns, column_ns);
     const double per_item = 1.0 / static_cast<double>(stream.size());
-    RecordProperty(name + "_scalar_ns_per_item", scalar_ns * per_item);
-    RecordProperty(name + "_batch_ns_per_item", batch_ns * per_item);
-    RecordProperty(name + "_column_ns_per_item", column_ns * per_item);
+    // As strings: RecordProperty truncates a double to an integer.
+    RecordProperty(name + "_scalar_ns_per_item",
+                   std::to_string(scalar_ns * per_item));
+    RecordProperty(name + "_batch_ns_per_item",
+                   std::to_string(batch_ns * per_item));
+    RecordProperty(name + "_column_ns_per_item",
+                   std::to_string(column_ns * per_item));
     EXPECT_LE(batch_ns, tolerance * scalar_ns)
         << name << ": UpdateBatch " << batch_ns * per_item
         << " ns/item vs scalar " << scalar_ns * per_item

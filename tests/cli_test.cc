@@ -6,6 +6,7 @@
 // with space-separated flags must answer `stats` with what it was given.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include <iterator>
 #include <regex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -389,6 +391,70 @@ TEST_F(CliTest, FlagsACommandCannotUseAreRejected) {
   }
   ExpectUsageError(L1HH_CLI_BINARY, {"--algo=exact", out},
                    "--out is supported by save\n");
+  EXPECT_NE(::access(Path("x.l1hh").c_str(), F_OK), 0);
+}
+
+// Every flag, not only the run- and save-only ones: a command refuses
+// each flag it does not read, naming it, before it reads stdin or files.
+TEST_F(CliTest, EveryFlagACommandDoesNotReadIsRejected) {
+  ExpectUsageError(L1HH_CLI_BINARY,
+                   {"heavy", "--algo=exact", "--alpha=3", "--m=1"},
+                   "--alpha is supported by generate and run\n");
+  ExpectUsageError(L1HH_CLI_BINARY,
+                   {"heavy", "--algo=exact", "--kind=uniform", "--m=1"},
+                   "--kind is supported by generate and run\n");
+  ExpectUsageError(L1HH_CLI_BINARY, {"load", "--seed=4", Path("x.l1hh")},
+                   "--seed is supported by generate, run, heavy, save, max "
+                   "and min\n");
+  ExpectUsageError(L1HH_CLI_BINARY, {"load", "--window=9", Path("x.l1hh")},
+                   "--window is supported by run, heavy and save\n");
+  ExpectUsageError(L1HH_CLI_BINARY, {"list", "--m=5"},
+                   "--m is supported by generate, run, heavy, save, max and "
+                   "min\n");
+  ExpectUsageError(L1HH_CLI_BINARY, {"max", "--phi=0.1"},
+                   "--phi is supported by run, heavy, save, load and merge\n");
+  ExpectUsageError(L1HH_CLI_BINARY, {"heavy", "--format=text"},
+                   "--format is supported by run and merge\n");
+
+  // One valid spelling of every flag, and the commands that read it.
+  const std::string file = "--out=" + Path("x.l1hh");
+  const std::string save = "--save=" + Path("x.l1hh");
+  const std::vector<std::pair<std::string, std::vector<std::string>>> flags =
+      {{"--kind=uniform", {"generate", "run"}},
+       {"--algo=exact", {"run", "heavy", "save"}},
+       {"--algorithm=exact", {"run", "heavy", "save"}},
+       {"--alpha=1.5", {"generate", "run"}},
+       {"--epsilon=0.1", {"run", "heavy", "save", "max", "min"}},
+       {"--phi=0.1", {"run", "heavy", "save", "load", "merge"}},
+       {"--delta=0.1", {"run", "heavy", "save", "max", "min"}},
+       {"--n=100", {"generate", "run", "heavy", "save", "max", "min"}},
+       {"--m=10", {"generate", "run", "heavy", "save", "max", "min"}},
+       {"--seed=3", {"generate", "run", "heavy", "save", "max", "min"}},
+       {"--shards=2", {"run"}},
+       {"--threads=2", {"run"}},
+       {file, {"save"}},
+       {save, {"run"}},
+       {"--window=100", {"run", "heavy", "save"}},
+       {"--buckets=2", {"run", "heavy", "save"}},
+       {"--format=text", {"run", "merge"}},
+       {"--group-col", {"run", "heavy"}},
+       {"--groups=2", {"generate", "run"}},
+       {"--stats", {"run"}},
+       {"--audit", {"run"}}};
+  for (const char* command : {"list", "generate", "run", "heavy", "save",
+                              "load", "merge", "max", "min"}) {
+    for (const auto& [flag, readers] : flags) {
+      if (std::find(readers.begin(), readers.end(), command) !=
+          readers.end()) {
+        continue;
+      }
+      const Outcome o = Cli({command, flag});
+      const std::string name = flag.substr(0, flag.find('='));
+      EXPECT_EQ(o.code, 2) << command << " " << flag;
+      EXPECT_EQ(o.err.rfind(name + " is supported by ", 0), 0u)
+          << command << " " << flag << ": " << o.err;
+    }
+  }
   EXPECT_NE(::access(Path("x.l1hh").c_str(), F_OK), 0);
 }
 

@@ -58,8 +58,8 @@
 // Flags accept both `--key=value` and `--key value`; unknown flags are
 // rejected (with a did-you-mean hint), never silently ignored, nor is a
 // malformed number (src/serve/wire.h, shared with l1hh_serve), nor a flag
-// the command does not read (--shards/--threads/--save outside run,
-// --out outside save).  Legacy
+// the command does not read (kFlagCommands names the commands that read
+// each flag).  Legacy
 // names (optimal, simple, mg, spacesaving) are accepted as --algo aliases.
 // `l1hh_cli --algo=<name>` with no command is shorthand for `run`.
 // stdin ids are whole decimal u64 fields (one per line; two for
@@ -148,7 +148,7 @@ struct Args {
   std::string out;
   std::string save_path;
   std::vector<std::string> positional;
-  // Every --key=value flag given, for the per-command checks in Parse.
+  // Every flag given, for the per-command check in Parse.
   std::vector<std::string> given;
 };
 
@@ -167,14 +167,51 @@ std::string CanonicalAlgoName(const std::string& name) {
   return name;
 }
 
-/// Flags the parser understands, for the did-you-mean hint.
-const char* const kKnownFlags[] = {
-    "--kind",  "--algo", "--algorithm", "--alpha",   "--epsilon",
-    "--phi",   "--delta", "--n",        "--m",       "--seed",
-    "--shards", "--threads", "--out",   "--save",    "--window",
-    "--buckets", "--format", "--group-col", "--groups", "--stats",
-    "--audit",
+const char* const kCommands[] = {"list", "generate", "run",   "heavy", "save",
+                                 "load", "merge",    "max",   "min"};
+
+/// Every flag the parser understands and the commands that read it ("run"
+/// includes the bare `l1hh_cli --algo=...` shorthand).  Only run and
+/// merge emit JSON (--format); the telemetry registry only fills during
+/// a run (--stats); the auditor replays a run's generated stream
+/// (--audit); --group-col needs a GroupedSummary to drive.
+struct FlagCommands {
+  const char* flag;
+  std::vector<std::string_view> commands;
 };
+const FlagCommands kFlagCommands[] = {
+    {"--kind", {"generate", "run"}},
+    {"--algo", {"run", "heavy", "save"}},
+    {"--algorithm", {"run", "heavy", "save"}},
+    {"--alpha", {"generate", "run"}},
+    {"--epsilon", {"run", "heavy", "save", "max", "min"}},
+    {"--phi", {"run", "heavy", "save", "load", "merge"}},
+    {"--delta", {"run", "heavy", "save", "max", "min"}},
+    {"--n", {"generate", "run", "heavy", "save", "max", "min"}},
+    {"--m", {"generate", "run", "heavy", "save", "max", "min"}},
+    {"--seed", {"generate", "run", "heavy", "save", "max", "min"}},
+    {"--shards", {"run"}},
+    {"--threads", {"run"}},
+    {"--out", {"save"}},
+    {"--save", {"run"}},
+    {"--window", {"run", "heavy", "save"}},
+    {"--buckets", {"run", "heavy", "save"}},
+    {"--format", {"run", "merge"}},
+    {"--group-col", {"run", "heavy"}},
+    {"--groups", {"generate", "run"}},
+    {"--stats", {"run"}},
+    {"--audit", {"run"}},
+};
+
+/// "run", "run and merge", "generate, run and heavy".
+std::string Readers(const FlagCommands& f) {
+  std::string out;
+  for (size_t i = 0; i < f.commands.size(); ++i) {
+    if (i > 0) out += i + 1 == f.commands.size() ? " and " : ", ";
+    out += f.commands[i];
+  }
+  return out;
+}
 
 bool Parse(int argc, char** argv, Args* out) {
   int i = 1;
@@ -194,12 +231,14 @@ bool Parse(int argc, char** argv, Args* out) {
     if (key == "--group-col") {
       // A boolean flag: its presence is the value.
       out->group_col = true;
+      out->given.push_back(key);
       continue;
     }
     if (key == "--stats" || key.rfind("--stats=", 0) == 0) {
       // Presence-only (defaults to text exposition) or --stats=json;
       // intercepted here so bare --stats never swallows the next token.
       out->stats = key == "--stats" ? "text" : key.substr(8);
+      out->given.push_back("--stats");
       if (out->stats != "text" && out->stats != "json") {
         std::fprintf(stderr, "--stats must be text or json\n");
         return false;
@@ -210,6 +249,7 @@ bool Parse(int argc, char** argv, Args* out) {
       // Presence-only (default sampling rate) or --audit=RATE; like
       // --stats, intercepted so bare --audit never swallows a token.
       out->audit = true;
+      out->given.push_back("--audit");
       if (key != "--audit") {
         if (!serve::ParseU64(key.c_str() + 8, &out->audit_rate)) {
           return serve::MalformedFlag("--audit", key.substr(8));
@@ -263,7 +303,9 @@ bool Parse(int argc, char** argv, Args* out) {
     } else if (key == "--groups") {
       ok = serve::ParseU64(value.c_str(), &out->groups);
     } else {
-      return serve::PrintUnknownFlag(key, kKnownFlags);
+      std::vector<const char*> known;
+      for (const FlagCommands& f : kFlagCommands) known.push_back(f.flag);
+      return serve::PrintUnknownFlag(key, known);
     }
     if (!ok) return serve::MalformedFlag(key, value);
   }
@@ -294,17 +336,20 @@ bool Parse(int argc, char** argv, Args* out) {
                  out->algorithm.c_str(), std::string(inner).c_str());
     return false;
   }
-  // Flags only one command reads; on any other they would be silently
-  // ignored — reject.
-  static const std::pair<const char*, const char*> kOneCommandFlags[] = {
-      {"--shards", "run"}, {"--threads", "run"},
-      {"--save", "run"},   {"--out", "save"},
-  };
-  for (const auto& [flag, user] : kOneCommandFlags) {
-    if (command != user && std::find(out->given.begin(), out->given.end(),
-                                     flag) != out->given.end()) {
-      std::fprintf(stderr, "%s is supported by %s\n", flag, user);
-      return false;
+  // A flag the command does not read would be silently ignored — reject
+  // it, naming the commands that read it.  An unknown command is left to
+  // main's usage text.
+  if (std::find(std::begin(kCommands), std::end(kCommands), command) !=
+      std::end(kCommands)) {
+    for (const FlagCommands& f : kFlagCommands) {
+      if (std::find(f.commands.begin(), f.commands.end(), command) ==
+              f.commands.end() &&
+          std::find(out->given.begin(), out->given.end(), f.flag) !=
+              out->given.end()) {
+        std::fprintf(stderr, "%s is supported by %s\n", f.flag,
+                     Readers(f).c_str());
+        return false;
+      }
     }
   }
   // The stream generators draw from a universe of n items; an empty one
@@ -317,29 +362,9 @@ bool Parse(int argc, char** argv, Args* out) {
     std::fprintf(stderr, "--format must be text or json\n");
     return false;
   }
-  // Only run (incl. the empty-command shorthand) and merge emit JSON;
-  // accepting the flag elsewhere would silently print prose into a JSON
-  // consumer's pipe.
-  if (out->format == "json" && !out->command.empty() &&
-      out->command != "run" && out->command != "merge") {
-    std::fprintf(stderr, "--format=json is supported by run and merge\n");
-    return false;
-  }
-  // The registry only fills during an actual run; printing it after any
-  // other command would show zeros and mislead — reject.
-  if (!out->stats.empty() && !out->command.empty() &&
-      out->command != "run") {
-    std::fprintf(stderr, "--stats is supported by run\n");
-    return false;
-  }
   // The auditor shadows the WHOLE stream; a window forgets, a grouped
-  // run has no single global summary to audit — reject both, and any
-  // command that never ingests.
+  // run has no single global summary to audit — reject both.
   if (out->audit) {
-    if (!out->command.empty() && out->command != "run") {
-      std::fprintf(stderr, "--audit is supported by run\n");
-      return false;
-    }
     if (out->window != 0 || IsWindowedSummaryName(out->algorithm)) {
       std::fprintf(stderr, "--audit cannot be combined with --window\n");
       return false;
@@ -348,18 +373,6 @@ bool Parse(int argc, char** argv, Args* out) {
       std::fprintf(stderr, "--audit cannot be combined with --group-col\n");
       return false;
     }
-  }
-  // Grouped mode only exists where a GroupedSummary can be driven; on
-  // any other command the flag would be silently ignored — reject.
-  if (out->group_col && !out->command.empty() && out->command != "run" &&
-      out->command != "heavy") {
-    std::fprintf(stderr, "--group-col is supported by run and heavy\n");
-    return false;
-  }
-  if (out->groups != 0 && !out->command.empty() &&
-      out->command != "generate" && out->command != "run") {
-    std::fprintf(stderr, "--groups is supported by generate and run\n");
-    return false;
   }
   // A GroupedSummary is a single-threaded object; the sharded engine has
   // no per-key routing (yet).
