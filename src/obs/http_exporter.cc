@@ -98,15 +98,11 @@ std::unique_ptr<HttpExporter> HttpExporter::Create(
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
   addr.sin_port = htons(options.port);
-  if (inet_pton(AF_INET, options.bind_address.c_str(), &addr.sin_addr) != 1) {
-    close(fd);
-    *out = Status::InvalidArgument("http: bad bind address '" +
-                                   options.bind_address + "'");
-    return nullptr;
-  }
+  // Loopback only: this is telemetry, not a serving port.
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
     close(fd);
-    *out = Status::IOError("http: bind to " + options.bind_address + ":" +
+    *out = Status::IOError("http: bind to 127.0.0.1:" +
                            std::to_string(options.port) +
                            " failed: " + std::string(std::strerror(errno)));
     return nullptr;

@@ -38,7 +38,6 @@ struct HttpResponse {
 
 struct HttpExporterOptions {
   uint16_t port = 0;  // 0 = ephemeral; the bound port is port() after Create
-  std::string bind_address = "127.0.0.1";  // loopback: telemetry, not serving
   size_t max_request_bytes = 8192;  // request head budget; beyond it -> 400
   int read_timeout_ms = 2000;      // torn-request eviction
 };

@@ -174,9 +174,7 @@ std::vector<CountMinHeavyHitters::Entry> CountMinHeavyHitters::Report()
       out.push_back({item, fresh});
     }
   }
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return a.count > b.count || (a.count == b.count && a.item < b.item);
-  });
+  SortByCountDesc(out);
   return out;
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "hash/multiply_shift.h"
+#include "summary/count_entry.h"
 #include "util/bit_stream.h"
 #include "util/random.h"
 
@@ -126,10 +127,7 @@ class CountMinSketch {
 /// f >= phi*m is caught at its last occurrence at the latest.
 class CountMinHeavyHitters {
  public:
-  struct Entry {
-    uint64_t item;
-    uint64_t count;  // CM overestimate
-  };
+  using Entry = CountEntry;  // count: the CM overestimate
 
   CountMinHeavyHitters(double epsilon, double phi, double delta,
                        uint64_t seed);
@@ -152,7 +150,8 @@ class CountMinHeavyHitters {
   /// (and leaves this unchanged) when !Compatible(other).
   bool MergeFrom(const CountMinHeavyHitters& other);
 
-  /// Candidates re-filtered at (phi - eps/2) * m, sorted by estimate.
+  /// Candidates re-filtered at (phi - eps/2) * m, sorted by
+  /// SortByCountDesc.
   std::vector<Entry> Report() const;
 
   uint64_t Estimate(uint64_t item) const { return cms_.Estimate(item); }

@@ -121,6 +121,21 @@ void CounterGroups::ForEach(
   }
 }
 
+std::vector<CountEntry> CounterGroups::EntriesAbove(
+    uint64_t threshold) const {
+  std::vector<CountEntry> out;
+  for (int g = head_group_; g >= 0; g = groups_[g].next) {
+    if (IsZombieGroup(g)) continue;
+    const uint64_t count = groups_[g].count - offset_;
+    if (count < threshold) continue;
+    for (int e = groups_[g].head; e >= 0; e = entries_[e].next) {
+      out.push_back({entries_[e].key, count});
+    }
+  }
+  SortByCountDesc(out);
+  return out;
+}
+
 size_t CounterGroups::SpaceBits(int key_bits) const {
   // Capacity-based accounting, matching the paper's "a table of length k
   // whose key entries store integers in [0, K] and value entries integers

@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "summary/count_entry.h"
 #include "util/bit_stream.h"
 #include "util/bit_util.h"
 
@@ -74,6 +75,10 @@ class CounterGroups {
 
   /// Visits every live (key, effective count) pair, unordered.
   void ForEach(const std::function<void(uint64_t, uint64_t)>& fn) const;
+
+  /// Live entries with effective count >= threshold, sorted by
+  /// SortByCountDesc: the report of Misra–Gries and Space-Saving.
+  std::vector<CountEntry> EntriesAbove(uint64_t threshold) const;
 
   /// Paper-style accounting: per slot, `key_bits` for the id plus the
   /// gamma cost of its current value (empty slots cost 1 bit), plus the

@@ -1,7 +1,5 @@
 #include "summary/exact_counter.h"
 
-#include <algorithm>
-
 namespace l1hh {
 
 std::vector<ExactCounter::Entry> ExactCounter::HeavyHitters(
@@ -10,9 +8,7 @@ std::vector<ExactCounter::Entry> ExactCounter::HeavyHitters(
   for (const auto& [item, count] : table_) {
     if (count >= threshold) out.push_back({item, count});
   }
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return a.count > b.count || (a.count == b.count && a.item < b.item);
-  });
+  SortByCountDesc(out);
   return out;
 }
 
@@ -43,16 +39,6 @@ ExactCounter::Entry ExactCounter::MinOverUniverse(
   }
   if (best.count == UINT64_MAX) return {0, 0};
   return best;
-}
-
-std::vector<ExactCounter::Entry> ExactCounter::SortedByCountDesc() const {
-  std::vector<Entry> out;
-  out.reserve(table_.size());
-  for (const auto& [item, count] : table_) out.push_back({item, count});
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return a.count > b.count || (a.count == b.count && a.item < b.item);
-  });
-  return out;
 }
 
 }  // namespace l1hh

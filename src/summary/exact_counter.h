@@ -8,14 +8,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "summary/count_entry.h"
+
 namespace l1hh {
 
 class ExactCounter {
  public:
-  struct Entry {
-    uint64_t item;
-    uint64_t count;
-  };
+  using Entry = CountEntry;
 
   void Insert(uint64_t item, uint64_t count = 1) {
     table_[item] += count;
@@ -30,7 +29,7 @@ class ExactCounter {
   uint64_t total() const { return total_; }
   size_t distinct() const { return table_.size(); }
 
-  /// Items with count >= threshold, sorted by count descending.
+  /// Items with count >= threshold, sorted by SortByCountDesc.
   std::vector<Entry> HeavyHitters(uint64_t threshold) const;
 
   /// (item, count) of a maximum-frequency item; {0, 0} on empty.
@@ -41,7 +40,8 @@ class ExactCounter {
   /// that unseen items are valid answers.
   Entry MinOverUniverse(uint64_t universe_size) const;
 
-  std::vector<Entry> SortedByCountDesc() const;
+  /// Every item, sorted by SortByCountDesc.
+  std::vector<Entry> SortedByCountDesc() const { return HeavyHitters(0); }
 
  private:
   std::unordered_map<uint64_t, uint64_t> table_;

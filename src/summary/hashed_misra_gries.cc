@@ -45,16 +45,14 @@ void HashedMisraGries::Insert(uint64_t item) {
   }
 }
 
-std::vector<HashedMisraGries::Entry> HashedMisraGries::TopEntries() const {
+std::vector<HashedMisraGries::Entry> HashedMisraGries::EntriesAbove(
+    uint64_t threshold) const {
   std::vector<Entry> out;
-  out.reserve(top_true_ids_.size());
   for (const uint64_t id : top_true_ids_) {
     const uint64_t c = mg_.Estimate(hash_(id));
-    if (c > 0) out.push_back({id, c});
+    if (c > 0 && c >= threshold) out.push_back({id, c});
   }
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return a.count > b.count || (a.count == b.count && a.item < b.item);
-  });
+  SortByCountDesc(out);
   return out;
 }
 

@@ -21,10 +21,8 @@ namespace l1hh {
 
 class HashedMisraGries {
  public:
-  struct Entry {
-    uint64_t item;   // true id (from T2)
-    uint64_t count;  // value of its hashed key in T1
-  };
+  // item: the true id (from T2); count: the value of its hashed key in T1.
+  using Entry = CountEntry;
 
   /// `counters`: T1 length (the paper's 1/eps).
   /// `top_ids`: T2 length (the paper's 1/phi).
@@ -40,9 +38,14 @@ class HashedMisraGries {
   uint64_t EstimateByHash(uint64_t item) const {
     return mg_.Estimate(hash_(item));
   }
+  uint64_t Estimate(uint64_t item) const { return EstimateByHash(item); }
 
-  /// The tracked top ids with their T1 counts, sorted by count descending.
-  std::vector<Entry> TopEntries() const;
+  /// The tracked top ids whose T1 count is >= max(threshold, 1), sorted
+  /// by SortByCountDesc.
+  std::vector<Entry> EntriesAbove(uint64_t threshold) const;
+
+  /// Every tracked top id with a nonzero T1 count, in the same order.
+  std::vector<Entry> TopEntries() const { return EntriesAbove(1); }
 
   /// Distributed merge: requires both sides to share the hash function
   /// (same Draw seed).  T1 merges like Misra-Gries; T2 keeps the top ids

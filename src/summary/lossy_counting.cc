@@ -42,18 +42,6 @@ uint64_t LossyCounting::Estimate(uint64_t item) const {
   return it == table_.end() ? 0 : it->second.first;
 }
 
-std::vector<LossyCounting::Entry> LossyCounting::Entries() const {
-  std::vector<Entry> out;
-  out.reserve(table_.size());
-  for (const auto& [item, cd] : table_) {
-    out.push_back({item, cd.first, cd.second});
-  }
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return a.count > b.count || (a.count == b.count && a.item < b.item);
-  });
-  return out;
-}
-
 std::vector<LossyCounting::Entry> LossyCounting::EntriesAbove(
     uint64_t threshold) const {
   std::vector<Entry> out;
@@ -62,9 +50,7 @@ std::vector<LossyCounting::Entry> LossyCounting::EntriesAbove(
       out.push_back({item, cd.first, cd.second});
     }
   }
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return a.count > b.count || (a.count == b.count && a.item < b.item);
-  });
+  SortByCountDesc(out);
   return out;
 }
 

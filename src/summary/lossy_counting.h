@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "summary/count_entry.h"
 #include "util/bit_stream.h"
 
 namespace l1hh {
@@ -29,9 +30,9 @@ class LossyCounting {
   /// Undercount estimate (0 if dropped).
   uint64_t Estimate(uint64_t item) const;
 
-  /// Items whose (count + delta) >= threshold.
+  /// Items whose (count + delta) >= threshold, sorted by SortByCountDesc.
   std::vector<Entry> EntriesAbove(uint64_t threshold) const;
-  std::vector<Entry> Entries() const;
+  std::vector<Entry> Entries() const { return EntriesAbove(0); }
 
   uint64_t items_processed() const { return processed_; }
   size_t tracked() const { return table_.size(); }

@@ -21,29 +21,6 @@ void MisraGries::Insert(uint64_t item) {
   groups_.DecrementAll();
 }
 
-std::vector<MisraGries::Entry> MisraGries::Entries() const {
-  std::vector<Entry> out;
-  out.reserve(groups_.live_size());
-  groups_.ForEach(
-      [&](uint64_t item, uint64_t count) { out.push_back({item, count}); });
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return a.count > b.count || (a.count == b.count && a.item < b.item);
-  });
-  return out;
-}
-
-std::vector<MisraGries::Entry> MisraGries::EntriesAbove(
-    uint64_t threshold) const {
-  std::vector<Entry> out;
-  groups_.ForEach([&](uint64_t item, uint64_t count) {
-    if (count >= threshold) out.push_back({item, count});
-  });
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return a.count > b.count || (a.count == b.count && a.item < b.item);
-  });
-  return out;
-}
-
 MisraGries MisraGries::Merge(const MisraGries& a, const MisraGries& b) {
   std::vector<Entry> combined = a.Entries();
   for (const Entry& e : b.Entries()) {

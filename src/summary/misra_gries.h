@@ -21,10 +21,7 @@ namespace l1hh {
 
 class MisraGries {
  public:
-  struct Entry {
-    uint64_t item;
-    uint64_t count;
-  };
+  using Entry = CountEntry;
 
   /// `k`: number of counters (table length in the paper's pseudocode).
   /// `key_bits`: bits charged per stored id in SpaceBits() (log n, or the
@@ -40,11 +37,13 @@ class MisraGries {
   /// decrements so far (<= m / (k+1)).
   uint64_t ErrorBound() const { return groups_.decrement_count(); }
 
-  /// All tracked items with their counts, sorted by count descending.
-  std::vector<Entry> Entries() const;
+  /// All tracked items with their counts, sorted by SortByCountDesc.
+  std::vector<Entry> Entries() const { return groups_.EntriesAbove(0); }
 
-  /// Items with count >= threshold.
-  std::vector<Entry> EntriesAbove(uint64_t threshold) const;
+  /// Items with count >= threshold, in the same order.
+  std::vector<Entry> EntriesAbove(uint64_t threshold) const {
+    return groups_.EntriesAbove(threshold);
+  }
 
   uint64_t items_processed() const { return processed_; }
   size_t k() const { return groups_.capacity(); }

@@ -21,30 +21,10 @@ void SpaceSaving::Insert(uint64_t item) {
   groups_.ReplaceMin(item);
 }
 
-std::vector<SpaceSaving::Entry> SpaceSaving::Entries() const {
-  std::vector<Entry> out;
-  out.reserve(groups_.live_size());
-  groups_.ForEach(
-      [&](uint64_t item, uint64_t count) { out.push_back({item, count}); });
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return a.count > b.count || (a.count == b.count && a.item < b.item);
-  });
-  return out;
-}
-
-std::vector<SpaceSaving::Entry> SpaceSaving::EntriesAbove(
-    uint64_t threshold) const {
-  std::vector<Entry> all = Entries();
-  std::vector<Entry> out;
-  for (const Entry& e : all) {
-    if (e.count >= threshold) out.push_back(e);
-  }
-  return out;
-}
-
 SpaceSaving SpaceSaving::Merge(const SpaceSaving& a, const SpaceSaving& b) {
+  const std::vector<Entry> b_entries = b.Entries();
   std::vector<Entry> combined = a.Entries();
-  for (const Entry& e : b.Entries()) {
+  for (const Entry& e : b_entries) {
     bool found = false;
     for (Entry& c : combined) {
       if (c.item == e.item) {
@@ -59,7 +39,7 @@ SpaceSaving SpaceSaving::Merge(const SpaceSaving& a, const SpaceSaving& b) {
   }
   for (Entry& c : combined) {
     bool in_b = false;
-    for (const Entry& e : b.Entries()) {
+    for (const Entry& e : b_entries) {
       if (e.item == c.item) in_b = true;
     }
     if (!in_b) c.count += b.MinCount();

@@ -16,10 +16,7 @@ namespace l1hh {
 
 class SpaceSaving {
  public:
-  struct Entry {
-    uint64_t item;
-    uint64_t count;  // overestimate
-  };
+  using Entry = CountEntry;  // count: an overestimate
 
   explicit SpaceSaving(size_t k, int key_bits = 64);
 
@@ -31,8 +28,12 @@ class SpaceSaving {
   /// Current minimum counter = the global overestimation bound.
   uint64_t MinCount() const { return groups_.Full() ? groups_.MinCount() : 0; }
 
-  std::vector<Entry> Entries() const;
-  std::vector<Entry> EntriesAbove(uint64_t threshold) const;
+  /// All tracked items, sorted by SortByCountDesc.
+  std::vector<Entry> Entries() const { return groups_.EntriesAbove(0); }
+  /// Items with count >= threshold, in the same order.
+  std::vector<Entry> EntriesAbove(uint64_t threshold) const {
+    return groups_.EntriesAbove(threshold);
+  }
 
   /// Distributed merge: estimates add (both overestimate), and the merged
   /// summary keeps the k largest, preserving

@@ -70,9 +70,7 @@ std::vector<StickySampling::Entry> StickySampling::EntriesAbove(
   for (const auto& [item, count] : table_) {
     if (count + slack >= threshold) out.push_back({item, count});
   }
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return a.count > b.count || (a.count == b.count && a.item < b.item);
-  });
+  SortByCountDesc(out);
   return out;
 }
 

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "summary/count_entry.h"
 #include "util/bit_stream.h"
 #include "util/random.h"
 
@@ -20,10 +21,7 @@ namespace l1hh {
 
 class StickySampling {
  public:
-  struct Entry {
-    uint64_t item;
-    uint64_t count;
-  };
+  using Entry = CountEntry;
 
   StickySampling(double epsilon, double support, double delta, uint64_t seed,
                  int key_bits = 64);

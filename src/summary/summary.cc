@@ -106,12 +106,13 @@ Status SnapshotShapeMismatch(std::string_view name) {
 
 // ---------------------------------------------------------------------------
 
-// Misra-Gries, Space-Saving, Lossy Counting and Sticky Sampling share one
-// adapter: a counter table with Insert / Estimate / EntriesAbove /
-// SpaceBits / Serialize.  They differ in how far below phi*m HeavyHitters
-// thresholds (`slack`, see the registrations), in mergeability (a static
-// Table::Merge) and in how a loaded table is checked against the
-// constructed one (SameShape, or Sticky Sampling's in-place Deserialize).
+// Misra-Gries, Space-Saving, hashed Misra-Gries (Algorithm 1's T1 + T2),
+// Lossy Counting and Sticky Sampling share one adapter: a counter table
+// with Insert / Estimate / EntriesAbove / SpaceBits / Serialize.  They
+// differ in how far below phi*m HeavyHitters thresholds (`slack`, see the
+// registrations), in mergeability (a static Table::Merge) and in how a
+// loaded table is checked against the constructed one (SameShape, or
+// Sticky Sampling's in-place Deserialize).
 bool SameShape(const MisraGries& a, const MisraGries& b) {
   return a.k() == b.k();
 }
@@ -120,6 +121,10 @@ bool SameShape(const SpaceSaving& a, const SpaceSaving& b) {
 }
 bool SameShape(const LossyCounting& a, const LossyCounting& b) {
   return a.epsilon() == b.epsilon();
+}
+// Same construction seed <=> same drawn hash.
+bool SameShape(const HashedMisraGries& a, const HashedMisraGries& b) {
+  return a.hash() == b.hash();
 }
 
 template <typename Table>
@@ -166,7 +171,7 @@ class CounterTableSummary : public Summary {
   Status Merge(const Summary& other) override {
     if constexpr (kMergeable) {
       const auto* rhs = dynamic_cast<const CounterTableSummary*>(&other);
-      // Equal k keeps the merged error within this summary's eps.
+      // The same shape keeps the merged error within this summary's eps.
       if (rhs == nullptr || !SameShape(rhs->table_, table_)) {
         return IncompatibleMerge(Name());
       }
@@ -467,96 +472,6 @@ class CountSketchSummary : public Summary {
   std::unordered_set<uint64_t> candidates_;
 };
 
-class HashedMisraGriesSummary : public Summary {
- public:
-  explicit HashedMisraGriesSummary(const SummaryOptions& o)
-      : options_(o), epsilon_(o.epsilon), table_(MakeTable(o)) {}
-
-  std::string_view Name() const override { return "hashed_misra_gries"; }
-  SummaryOptions Options() const override { return options_; }
-
-  void Update(uint64_t item, uint64_t weight) override {
-    for (uint64_t i = 0; i < weight; ++i) table_.Insert(item);
-  }
-
-  void UpdateColumn(const uint64_t* items, size_t n) override {
-    for (size_t i = 0; i < n; ++i) table_.Insert(items[i]);
-  }
-
-  double Estimate(uint64_t item) const override {
-    return static_cast<double>(table_.EstimateByHash(item));
-  }
-
-  std::vector<ItemEstimate> PartitionHeavyHitters(
-      double phi, const PartitionTotals& totals) const override {
-    const uint64_t threshold =
-        CeilThreshold(phi - epsilon_, totals.covered_items);
-    std::vector<ItemEstimate> out;
-    for (const auto& e : table_.TopEntries()) {
-      if (e.count >= threshold) {
-        out.push_back({e.item, static_cast<double>(e.count)});
-      }
-    }
-    return out;
-  }
-
-  uint64_t ItemsProcessed() const override {
-    return table_.items_processed();
-  }
-  size_t MemoryUsageBytes() const override {
-    return (table_.SpaceBits() + 7) / 8;
-  }
-
-  bool SupportsMerge() const override { return true; }
-  Status Merge(const Summary& other) override {
-    const auto* rhs = dynamic_cast<const HashedMisraGriesSummary*>(&other);
-    if (rhs == nullptr || !(table_.hash() == rhs->table_.hash())) {
-      return IncompatibleMerge(Name());
-    }
-    table_ = HashedMisraGries::Merge(table_, rhs->table_);
-    return Status::Ok();
-  }
-
-  bool SupportsSnapshot() const override { return true; }
-  Status SaveTo(BitWriter& out) const override {
-    table_.Serialize(out);
-    return Status::Ok();
-  }
-  Status LoadFrom(BitReader& in) override {
-    HashedMisraGries loaded = HashedMisraGries::Deserialize(in);
-    if (in.overflow()) return in.status();
-    // Same construction seed <=> same drawn hash; anything else is a
-    // header/payload mismatch.
-    if (!(loaded.hash() == table_.hash())) {
-      return SnapshotShapeMismatch(Name());
-    }
-    table_ = std::move(loaded);
-    return Status::Ok();
-  }
-
- private:
-  // Standalone sizing (outside Algorithm 1 there is no sampling stage):
-  // T1 with 2/eps counters, T2 with 2/phi tracked ids, and a hash range
-  // large enough that collisions among universe items are delta-unlikely.
-  static HashedMisraGries MakeTable(const SummaryOptions& o) {
-    Rng hash_rng(Mix64(o.seed) ^ 0x7c9a1f3b5d2e4c6aULL);
-    const double n = static_cast<double>(std::max<uint64_t>(
-        o.universe_size, 2));
-    const double range_d =
-        std::min(9.0e18, std::max(1024.0, n * n / std::max(o.delta, 1e-9)));
-    return HashedMisraGries(
-        static_cast<size_t>(std::ceil(2.0 / o.epsilon)),
-        static_cast<size_t>(std::ceil(2.0 / o.phi)),
-        UniversalHash::Draw(hash_rng,
-                            static_cast<uint64_t>(range_d)),
-        KeyBits(o.universe_size));
-  }
-
-  SummaryOptions options_;
-  double epsilon_;
-  HashedMisraGries table_;
-};
-
 // ---------------------------------------------------------------------------
 // Registry.
 
@@ -601,6 +516,23 @@ void EnsureBuiltinsRegistered() {
         "space_saving", /*eps_slack=*/false, [](const SummaryOptions& o) {
           return SpaceSaving(CountersFor(o.epsilon), KeyBits(o.universe_size));
         });
+    // Standalone sizing (outside Algorithm 1 there is no sampling stage):
+    // T1 with 2/eps counters, T2 with 2/phi tracked ids, and a hash range
+    // large enough that collisions among universe items are
+    // delta-unlikely.  T1 undercounts like Misra-Gries.
+    RegisterCounterTable<HashedMisraGries>(
+        "hashed_misra_gries", /*eps_slack=*/true, [](const SummaryOptions& o) {
+          Rng hash_rng(Mix64(o.seed) ^ 0x7c9a1f3b5d2e4c6aULL);
+          const double n =
+              static_cast<double>(std::max<uint64_t>(o.universe_size, 2));
+          const double range = std::min(
+              9.0e18, std::max(1024.0, n * n / std::max(o.delta, 1e-9)));
+          return HashedMisraGries(
+              static_cast<size_t>(std::ceil(2.0 / o.epsilon)),
+              static_cast<size_t>(std::ceil(2.0 / o.phi)),
+              UniversalHash::Draw(hash_rng, static_cast<uint64_t>(range)),
+              KeyBits(o.universe_size));
+        });
     // Lossy Counting's and Sticky Sampling's EntriesAbove already make up
     // their <= eps*m undercount (each entry's recorded delta; count + eps*m
     // >= threshold), so they threshold at phi*m: subtracting eps as well
@@ -617,7 +549,6 @@ void EnsureBuiltinsRegistered() {
     RegisterAdapter<ExactCounterSummary>("exact");
     RegisterAdapter<CountMinSummary>("count_min");
     RegisterAdapter<CountSketchSummary>("count_sketch");
-    RegisterAdapter<HashedMisraGriesSummary>("hashed_misra_gries");
     internal::RegisterCoreSummaries();
     return true;
   }();
